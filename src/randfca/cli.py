@@ -31,6 +31,10 @@ from .montecarlo import compare_with_exact, estimate
 DEFAULT_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VERIFY_MAX_N = 4
 
+# --ns values are parsed only below 2**_MAX_NS_BITS, so that a form like
+# 10^1000000000 is refused before the power is built.
+_MAX_NS_BITS = 64
+
 # Per-case agreement bounds between formula and brute force.
 VERIFY_REL_TOL = 1e-10
 VERIFY_ABS_TOL = 1e-12
@@ -79,26 +83,28 @@ def _parse_prob(text: str, rational: bool) -> float | Fraction:
         raise InputError(f"cannot parse probability {text!r}") from None
 
 
+def _parse_n(token: str) -> int:
+    """One --ns value: an integer, or a 10^8 or 1e8 form, below 2**64 in size."""
+    try:
+        if "^" in token:
+            base, _, exponent = token.partition("^")
+            base, exponent = int(base), int(exponent)
+            # |base|**exponent >= 2**((bits - 1) * exponent): bound it before computing it.
+            if 0 <= exponent and (abs(base).bit_length() - 1) * exponent < _MAX_NS_BITS:
+                return base**exponent
+        elif "e" in token or "E" in token:
+            as_float = float(token)
+            if abs(as_float) < 2.0**_MAX_NS_BITS and as_float == int(as_float):
+                return int(as_float)
+        else:
+            return int(token)
+    except ValueError:
+        pass
+    raise InputError(f"n value {token!r} is not an integer below 2^{_MAX_NS_BITS}")
+
+
 def _parse_ns(text: str) -> list[int]:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            if "^" in token:
-                base, _, exponent = token.partition("^")
-                values.append(int(base) ** int(exponent))
-            elif "e" in token or "E" in token:
-                as_float = float(token)
-                if as_float != int(as_float):
-                    raise ValueError
-                values.append(int(as_float))
-            else:
-                values.append(int(token))
-        except ValueError:
-            raise InputError(f"cannot parse n value {token!r}") from None
-    return values
+    return [_parse_n(token.strip()) for token in text.split(",") if token.strip()]
 
 
 def _read_input(path: str | None) -> str:
@@ -409,7 +415,8 @@ def _build_parser() -> _Parser:
     asymptotic.add_argument(
         "--ns",
         default=None,
-        help="comma-separated n values (default 10^1..10^10); 1e8 and 10^8 forms accepted",
+        help="comma-separated n values, 2 <= n <= 10^12 (default 10^1..10^10);"
+        " 1e8 and 10^8 forms accepted",
     )
     asymptotic.add_argument("--json", action="store_true")
     asymptotic.set_defaults(func=_cmd_asymptotic)
@@ -427,19 +434,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RandFcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, RandFcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,12 +12,21 @@ a term even at p, q in {0, 1}. The blocks have a direct reading: a objects
 and b attributes form the candidate concept, c objects each miss one of
 the b attributes, d attributes are each missed by one of the a objects.
 
-Terms span many orders of magnitude, so the sum is accumulated in log
-space (multinomials via log-gamma, the (1 - q**a) factors via expm1/log1p)
-and the term count is only C(n+3, 3), so nothing is truncated. Two
-independent checks are provided: an exact-rational evaluation for rational
-p, q, and a brute-force oracle that integrates the concept count over the
-entire sample space (guarded to n <= 5).
+For fixed (a, b) the sum over c + d = r = n - a - b is binomial, so both
+evaluation paths sum the C(n+2, 2) collapsed terms over a + b <= n:
+
+    n! / (a! b! r!) * p**a * (1-p)**b * q**(a*b)
+      * (p*(1 - q**b) + (1-p)*(1 - q**a))**r
+
+`expected_concepts` accumulates them in log space (log-gamma factorials,
+the (1 - q**k) factors via expm1/log1p, the bracket as a log-sum of its
+two nonnegative parts so it never cancels); its report counts the
+collapsed terms, `terms_evaluated` nonzero and `terms_skipped_zero` zero.
+`expected_concepts_exact` sums the same terms over rationals, for
+n <= MAX_EXACT_N = 128. The 4-part summand (`log_term` over
+`composition_iter`) is kept as an independent oracle, next to a
+brute-force oracle that integrates the concept count over the entire
+sample space (guarded to n <= 5).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .logspace import LogSumExp, LogValue, log_one_minus_pow
 from .model import ModelParams, context_log_probability, enumerate_sample_space
 
 MAX_BRUTEFORCE_N = 5
-MAX_EXACT_N = 64
+MAX_EXACT_N = 128
 
 
 @dataclass(frozen=True)
@@ -130,23 +139,47 @@ def log_term(params: ModelParams, comp: Composition4) -> LogValue:
     return LogValue.from_log(total)
 
 
+def _log_add_exp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)); -inf only when both are -inf."""
+    if x < y:
+        x, y = y, x
+    if y == -math.inf:
+        return x
+    return x + math.log1p(math.exp(y - x))
+
+
 def expected_concepts(params: ModelParams) -> ExpectationReport:
     """Average number of concepts under the (n, p, q) model, evaluated exactly.
 
-    Streams all C(n+3, 3) terms through a log-sum-exp accumulator; no
-    cutoff is applied. The cubic term count makes this practical up to n
-    in the few hundreds.
+    Streams all C(n+2, 2) collapsed terms through a log-sum-exp
+    accumulator; no cutoff is applied.
     """
+    n, p, q = params.n, params.p, params.q
+    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+    log_miss = [log_one_minus_pow(q, k) for k in range(n + 1)]
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    log_not_p = math.log1p(-p) if p < 1.0 else -math.inf
+    log_q = math.log(q) if q > 0.0 else -math.inf
     accumulator = LogSumExp()
     evaluated = 0
     skipped = 0
-    for comp in composition_iter(params.n):
-        term = log_term(params, comp)
-        if term.is_zero:
-            skipped += 1
-        else:
-            evaluated += 1
-            accumulator.add(term.log)
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            r = n - a - b
+            term = log_fact[n] - log_fact[a] - log_fact[b] - log_fact[r]
+            if a:
+                term += a * log_p
+            if b:
+                term += b * log_not_p
+            if a and b:
+                term += a * b * log_q
+            if r:
+                term += r * _log_add_exp(log_p + log_miss[b], log_not_p + log_miss[a])
+            if term == -math.inf:
+                skipped += 1
+            else:
+                evaluated += 1
+                accumulator.add(term)
     log_value = accumulator.result()
     return ExpectationReport(
         params=params,
@@ -173,20 +206,18 @@ def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
         raise InputError(f"p must be in [0, 1], got {p}")
     if not 0 <= q <= 1:
         raise InputError(f"q must be in [0, 1], got {q}")
+    miss = [1 - q**k for k in range(n + 1)]
     total = Fraction(0)
-    for comp in composition_iter(n):
-        a, b, c, d = comp.a, comp.b, comp.c, comp.d
-        multinomial = math.factorial(n) // (
-            math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(d)
-        )
-        total += (
-            multinomial
-            * p ** (a + c)
-            * (1 - p) ** (b + d)
-            * q ** (a * b)
-            * (1 - q**a) ** d
-            * (1 - q**b) ** c
-        )
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            total += (
+                math.comb(n, a)
+                * math.comb(n - a, b)
+                * p**a
+                * (1 - p) ** b
+                * q ** (a * b)
+                * (p * miss[b] + (1 - p) * miss[a]) ** (n - a - b)
+            )
     return total
 
 

@@ -9,6 +9,7 @@ from randfca import (
     DomainError,
     InputError,
     ModelParams,
+    SizeError,
     bounded_correction,
     expected_concepts,
     log_split_term,
@@ -19,6 +20,7 @@ from randfca import (
     table_report,
     threshold_holds,
 )
+from randfca.asymptotics import MAX_SPLIT_N
 
 # Golden 3-decimal gaps for n = 10^1 .. 10^10.
 REFERENCE_GAPS = (1.467, 0.860, 0.646, 0.566, 0.477, 0.416, 0.386, 0.347, 0.316, 0.299)
@@ -69,6 +71,12 @@ class TestLogSplitTerm:
         with pytest.warns(RuntimeWarning):
             value = log_split_term(1)
         assert value == pytest.approx(math.log(0.5), abs=1e-12)
+
+    def test_refuses_n_past_its_accuracy(self):
+        assert MAX_SPLIT_N == 10**12
+        assert math.isfinite(log_split_term(MAX_SPLIT_N))
+        with pytest.raises(SizeError):
+            log_split_term(MAX_SPLIT_N + 1)
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_multinomial_against_exact_factorials(self, n):

@@ -81,6 +81,26 @@ class TestAsymptotic:
         code, _, err = run(capsys, "asymptotic", "--ns", "ten")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "ns",
+        [
+            "1e15", "10^15", "1e18", "1000000000001",  # past the split term's accuracy
+            "1e400", "10^400",  # used to overflow with a traceback
+            "10^1000000000",  # refused before the power is built
+            "1^-1",  # a negative exponent gives no integer
+        ],
+    )
+    def test_out_of_range_ns_is_an_input_error(self, capsys, ns):
+        code, out, err = run(capsys, "asymptotic", "--ns", ns)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_largest_supported_n(self, capsys):
+        (row,) = run_json(capsys, "asymptotic", "--ns", "10^12", "--json")["payload"]["rows"]
+        assert row["n"] == 10**12
+
 
 class TestGenAndConcepts:
     def test_pipeline_is_deterministic(self, capsys, tmp_path, monkeypatch):

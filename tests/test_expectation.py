@@ -88,7 +88,7 @@ class TestExpectedConcepts:
 
     def test_term_accounting(self):
         report = expected_concepts(ModelParams(6, 0.5, 0.5))
-        assert report.terms_evaluated + report.terms_skipped_zero == composition_count(6)
+        assert report.terms_evaluated + report.terms_skipped_zero == math.comb(6 + 2, 2)
         assert report.value == pytest.approx(report.log_value.exp(), rel=1e-15)
 
     def test_skipping_zero_terms_is_exact(self):
@@ -119,6 +119,33 @@ class TestExpectedConcepts:
     def test_bounds_at_half_half(self, n):
         value = expected_concepts(ModelParams(n, 0.5, 0.5)).value
         assert 1.0 <= value <= 2.0**n
+
+
+class TestAgainstCompositionSum:
+    """The collapsed (a, b) sum against the 4-part composition-sum oracle."""
+
+    @staticmethod
+    def oracle(params):
+        return log_sum_exp(log_term(params, c).log for c in composition_iter(params.n))
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 20, 30])
+    def test_float_path(self, n):
+        for p in GRID:
+            for q in GRID:
+                params = ModelParams(n, p, q)
+                got = expected_concepts(params).log_value
+                want = self.oracle(params)
+                assert got.is_zero == want.is_zero
+                if not want.is_zero:
+                    assert got.log == pytest.approx(want.log, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    @pytest.mark.parametrize(
+        "p,q", [(Fraction(1, 3), Fraction(2, 5)), (Fraction(3, 4), Fraction(1, 8))]
+    )
+    def test_exact_path(self, n, p, q):
+        want = self.oracle(ModelParams(n, float(p), float(q))).exp()
+        assert float(expected_concepts_exact(n, p, q)) == pytest.approx(want, rel=1e-12)
 
 
 class TestBruteforce:
@@ -161,6 +188,6 @@ class TestExactRational:
 
     def test_guards(self):
         with pytest.raises(SizeError):
-            expected_concepts_exact(65, Fraction(1, 2), Fraction(1, 2))
+            expected_concepts_exact(129, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(InputError):
             expected_concepts_exact(3, Fraction(3, 2), Fraction(1, 2))
