@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
-from .context import FormalContext, enumerate_concepts
+from .context import FormalContext, count_concepts, enumerate_concepts
 from .cxt import CxtDocument, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError
 from .expectation import (
@@ -149,28 +149,26 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_concepts(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    doc = read_cxt(_read_input(args.input))
-    ctx = doc.context
+    ctx = read_cxt(_read_input(args.input)).context
+    params = {"in": args.input, "algo": args.algo, "count_only": args.count_only}
+    if args.count_only:
+        count = count_concepts(ctx, algorithm=args.algo)
+        if args.json:
+            _print_envelope("concepts", params, {"count": count}, started)
+        else:
+            print(count)
+        return 0
     concepts = enumerate_concepts(ctx, algorithm=args.algo)
     if args.json:
-        payload: dict[str, Any] = {"count": len(concepts)}
-        if not args.count_only:
-            payload["concepts"] = [
-                {
-                    "extent": [ctx.objects[i] for i in sorted(c.extent)],
-                    "intent": [ctx.attributes[j] for j in sorted(c.intent)],
-                }
-                for c in concepts
-            ]
-        _print_envelope(
-            "concepts",
-            {"in": args.input, "algo": args.algo, "count_only": args.count_only},
-            payload,
-            started,
-        )
-        return 0
-    if args.count_only:
-        print(len(concepts))
+        listing = [
+            {
+                "extent": [ctx.objects[i] for i in sorted(c.extent)],
+                "intent": [ctx.attributes[j] for j in sorted(c.intent)],
+            }
+            for c in concepts
+        ]
+        payload = {"count": len(concepts), "concepts": listing}
+        _print_envelope("concepts", params, payload, started)
         return 0
     print(f"concepts: {len(concepts)}")
     for concept in concepts:
@@ -353,14 +351,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "max_n": args.max_n,
-            "grid": args.grid,
+            "grid": "default",
             "cases": cases,
             "max_normalized_error": max_error,
             "ok": all_ok,
             "worst": worst,
         }
         _print_envelope(
-            "verify", {"max_n": args.max_n, "grid": args.grid}, payload, started
+            "verify", {"max_n": args.max_n, "grid": "default"}, payload, started
         )
         return 0
     print(f"cases: {cases} (n <= {args.max_n}, {len(grid)}x{len(grid)} probability grid)")
@@ -423,7 +421,6 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="cross-check the exact formula against brute force")
     verify.add_argument("--max-n", type=int, default=DEFAULT_VERIFY_MAX_N)
-    verify.add_argument("--grid", choices=("default",), default="default")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
@@ -440,6 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, RandFcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # last resort: any other failure, without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,11 +11,14 @@ Empty derivations follow the ambient-set convention: the common attributes
 of no objects are all attributes, and dually. This is what makes contexts
 with an empty side have exactly one concept.
 
-Incidence is packed into integer bit rows/columns, so derivation is a
-word-wise AND. Two enumeration strategies are provided:
+Incidence is stored once, as integer bit rows (plus the bit columns
+derived from them), so derivation is a word-wise AND; the boolean matrix
+``incidence`` is computed on demand. Two enumeration strategies are
+provided, and both listing and counting run through them:
 
-* ``close-by-one``: canonical depth-first generation; each closed extent
-  is produced exactly once. The production enumerator.
+* ``close-by-one``: canonical depth-first generation over an explicit
+  stack, so no context depth meets Python's recursion limit; each closed
+  extent is produced exactly once. The production enumerator.
 * ``closure-scan``: checks all 2**|G| candidate extents for closedness.
   Exponential by construction, guarded to |G| <= 20; kept as an
   independent cross-check for the fancier algorithm.
@@ -42,64 +45,75 @@ _ALGORITHM_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FormalContext:
     """An immutable (objects, attributes, incidence) triple.
 
     Labels are carried for presentation and file round-trips only; they
     never affect semantics. Equality is structural over (labels,
-    incidence).
+    incidence). The incidence is stored as bit rows (bit j of row i set
+    iff object i has attribute j), with the bit columns derived from them.
     """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
-    incidence: tuple[tuple[bool, ...], ...]
-    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[int, ...]
+    _cols: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        objects = tuple(self.objects)
-        attributes = tuple(self.attributes)
-        incidence = tuple(tuple(bool(v) for v in row) for row in self.incidence)
-        if len(set(objects)) != len(objects):
-            raise InputError("object labels must be pairwise distinct")
-        if len(set(attributes)) != len(attributes):
-            raise InputError("attribute labels must be pairwise distinct")
-        if len(incidence) != len(objects):
-            raise InputError(
-                f"incidence has {len(incidence)} rows, expected {len(objects)}"
-            )
-        m = len(attributes)
+    def __init__(
+        self,
+        objects: Sequence[str],
+        attributes: Sequence[str],
+        incidence: Iterable[Iterable[bool]],
+    ) -> None:
+        incidence = [tuple(row) for row in incidence]
+        rows = [sum(1 << j for j, v in enumerate(row) if v) for row in incidence]
+        self._store(objects, attributes, rows)
+        m = len(self.attributes)
         for i, row in enumerate(incidence):
             if len(row) != m:
                 raise InputError(
                     f"incidence row {i} has {len(row)} entries, expected {m}"
                 )
-        rows = tuple(
-            sum(1 << j for j, v in enumerate(row) if v) for row in incidence
-        )
+
+    def _store(
+        self, objects: Sequence[str], attributes: Sequence[str], rows: Iterable[int]
+    ) -> None:
+        objects = tuple(objects)
+        attributes = tuple(attributes)
+        m = len(attributes)
+        rows = tuple(r & ((1 << m) - 1) for r in rows)
+        if len(set(objects)) != len(objects):
+            raise InputError("object labels must be pairwise distinct")
+        if len(set(attributes)) != len(attributes):
+            raise InputError("attribute labels must be pairwise distinct")
+        if len(rows) != len(objects):
+            raise InputError(f"incidence has {len(rows)} rows, expected {len(objects)}")
         cols = tuple(
             sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(m)
         )
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
 
     @classmethod
     def from_bit_rows(
-        cls,
-        objects: Sequence[str],
-        attributes: Sequence[str],
-        rows: Sequence[int],
+        cls, objects: Sequence[str], attributes: Sequence[str], rows: Sequence[int]
     ) -> "FormalContext":
-        """Build a context from integer bit rows (bit j of row i = incidence)."""
-        m = len(attributes)
-        incidence = tuple(
-            tuple(bool(r >> j & 1) for j in range(m)) for r in rows
-        )
-        return cls(tuple(objects), tuple(attributes), incidence)
+        """Build a context from integer bit rows (bit j of row i = incidence).
+
+        Bits at positions >= len(attributes) are ignored.
+        """
+        ctx = cls.__new__(cls)
+        ctx._store(objects, attributes, rows)
+        return ctx
+
+    @property
+    def incidence(self) -> tuple[tuple[bool, ...], ...]:
+        """The cross table as rows of booleans, read off the bit rows."""
+        m = len(self.attributes)
+        return tuple(tuple(bool(r >> j & 1) for j in range(m)) for r in self._rows)
 
     @property
     def object_count(self) -> int:
@@ -114,31 +128,22 @@ class FormalContext:
         """Number of incident (object, attribute) pairs."""
         return sum(r.bit_count() for r in self._rows)
 
-    def _full_extent(self) -> int:
-        return (1 << len(self.objects)) - 1
-
-    def _full_intent(self) -> int:
-        return (1 << len(self.attributes)) - 1
-
     def _intent_of(self, extent_mask: int) -> int:
         """Attributes shared by every object in the mask (all if empty)."""
-        result = self._full_intent()
-        remaining = extent_mask
-        while remaining:
-            low = remaining & -remaining
-            result &= self._rows[low.bit_length() - 1]
-            remaining ^= low
-        return result
+        return _meet(self._rows, extent_mask, (1 << len(self.attributes)) - 1)
 
     def _extent_of(self, intent_mask: int) -> int:
         """Objects having every attribute in the mask (all if empty)."""
-        result = self._full_extent()
-        remaining = intent_mask
-        while remaining:
-            low = remaining & -remaining
-            result &= self._cols[low.bit_length() - 1]
-            remaining ^= low
-        return result
+        return _meet(self._cols, intent_mask, (1 << len(self.objects)) - 1)
+
+
+def _meet(words: tuple[int, ...], mask: int, result: int) -> int:
+    """`result` ANDed with words[k] for every set bit k of `mask`."""
+    while mask:
+        low = mask & -mask
+        result &= words[low.bit_length() - 1]
+        mask ^= low
+    return result
 
 
 @dataclass(frozen=True)
@@ -159,14 +164,8 @@ def _indices_to_mask(indices: Iterable[int], size: int, kind: str) -> int:
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    result = []
-    i = 0
-    while mask:
-        if mask & 1:
-            result.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(result)
+    # bin(mask)[:1:-1] is the binary digits of mask, least significant first
+    return frozenset(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 def derive_objects(ctx: FormalContext, objects: Iterable[int]) -> frozenset[int]:
@@ -193,16 +192,15 @@ def is_concept(
 def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     """Yield all (extent, intent) mask pairs, each exactly once.
 
-    Depth-first canonical generation: from a closed extent, try adding each
-    object above the branching point and keep the closure only when it
-    introduces no object below that point.
+    Canonical generation over an explicit stack: from a closed extent, try
+    adding each object above its branching point and keep the closure only
+    when it introduces no object below that point.
     """
     n_objects = len(ctx.objects)
-    intent0 = ctx._full_intent()
-    extent0 = ctx._extent_of(intent0)
-    intent0 = ctx._intent_of(extent0)
-
-    def generate(extent: int, intent: int, start: int) -> Iterator[tuple[int, int]]:
+    extent = ctx._extent_of((1 << len(ctx.attributes)) - 1)
+    stack = [(extent, ctx._intent_of(extent), 0)]
+    while stack:
+        extent, intent, start = stack.pop()
         yield extent, intent
         for g in range(start, n_objects):
             if extent >> g & 1:
@@ -211,9 +209,7 @@ def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
             new_extent = ctx._extent_of(new_intent)
             below = (1 << g) - 1
             if (new_extent & below) == (extent & below):
-                yield from generate(new_extent, new_intent, g + 1)
-
-    return generate(extent0, intent0, 0)
+                stack.append((new_extent, new_intent, g + 1))
 
 
 def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
@@ -229,6 +225,16 @@ def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
             yield extent, intent
 
 
+def _pairs(ctx: FormalContext, algorithm: str) -> Iterator[tuple[int, int]]:
+    try:
+        name = _ALGORITHM_ALIASES[algorithm]
+    except KeyError:
+        raise InputError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        ) from None
+    return _close_by_one(ctx) if name == "close-by-one" else _closure_scan(ctx)
+
+
 def enumerate_concepts(
     ctx: FormalContext, algorithm: str = "close-by-one"
 ) -> list[Concept]:
@@ -238,20 +244,13 @@ def enumerate_concepts(
     an integer (object 0 = least significant bit), so repeated runs and
     both algorithms produce identical lists.
     """
-    try:
-        name = _ALGORITHM_ALIASES[algorithm]
-    except KeyError:
-        raise InputError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        ) from None
-    pairs = _close_by_one(ctx) if name == "close-by-one" else _closure_scan(ctx)
-    ordered = sorted(pairs)
+    ordered = sorted(_pairs(ctx, algorithm))
     return [Concept(_mask_to_set(e), _mask_to_set(i)) for e, i in ordered]
 
 
-def count_concepts(ctx: FormalContext) -> int:
-    """Number of concepts; same traversal as close-by-one, no materialization."""
-    return sum(1 for _ in _close_by_one(ctx))
+def count_concepts(ctx: FormalContext, algorithm: str = "close-by-one") -> int:
+    """Number of concepts, by the same traversal; builds and sorts nothing."""
+    return sum(1 for _ in _pairs(ctx, algorithm))
 
 
 def contranomial(k: int) -> FormalContext:

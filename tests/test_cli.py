@@ -139,6 +139,32 @@ class TestGenAndConcepts:
         assert code == 0
         assert "concepts: 4" in out
 
+    @pytest.mark.parametrize("algo", ["cbo", "scan"])
+    def test_count_only(self, capsys, tmp_path, schema, algo):
+        path = tmp_path / "ctx.cxt"
+        path.write_text("B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n")
+        code, out, _ = run(capsys, "concepts", "--in", str(path), "--algo", algo, "--count-only")
+        assert code == 0
+        assert out == "4\n"
+        envelope = run_json(
+            capsys, "concepts", "--in", str(path), "--algo", algo, "--count-only", "--json"
+        )
+        jsonschema.validate(envelope, schema)
+        assert envelope["params"] == {"in": str(path), "algo": algo, "count_only": True}
+        assert envelope["payload"] == {"count": 4}
+
+    def test_count_only_scan_guard_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "wide.cxt"
+        g = 21
+        labels = "".join(f"g{i}\n" for i in range(g))
+        path.write_text(f"B\n\n{g}\n1\n\n{labels}m\n" + ".\n" * g)
+        code, out, err = run(capsys, "concepts", "--in", str(path), "--algo", "scan", "--count-only")
+        assert code == 1
+        assert out == ""
+        assert "closure-scan supports at most 20 objects" in err
+        code, out, _ = run(capsys, "concepts", "--in", str(path), "--count-only")
+        assert (code, out) == (0, "2\n")
+
     def test_parse_error_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.cxt"
         path.write_text("Z\n")
@@ -181,6 +207,13 @@ class TestVerify:
         envelope = run_json(capsys, "verify", "--max-n", "2", "--json")
         jsonschema.validate(envelope, schema)
         assert envelope["payload"]["ok"] is True
+        assert envelope["params"]["grid"] == envelope["payload"]["grid"] == "default"
+
+    def test_grid_option_is_gone(self, capsys):
+        code, out, err = run(capsys, "verify", "--grid", "default")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --grid" in err
 
 
 class TestErrorHandling:
@@ -201,3 +234,14 @@ class TestErrorHandling:
         code, _, err = run(capsys, "asymptotic", "--ns", "10")
         assert code == 2
         assert "internal error" in err
+
+    def test_unexpected_exception_exits_two_without_traceback(self, capsys, monkeypatch):
+        def boom(ns):
+            return 1 / 0
+
+        monkeypatch.setattr("randfca.cli.table_report", boom)
+        code, out, err = run(capsys, "asymptotic", "--ns", "10")
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
+        assert "Traceback" not in err

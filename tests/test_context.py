@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import randfca
 from randfca import (
     Concept,
     FormalContext,
@@ -49,6 +54,15 @@ class TestConstruction:
         plain = build_context(2, 2, [0b01, 0b10])
         renamed = FormalContext(("x", "y"), ("u", "v"), plain.incidence)
         assert enumerate_concepts(plain) == enumerate_concepts(renamed)
+
+    def test_bit_rows_wider_than_the_attributes_are_masked(self):
+        wide = build_context(2, 2, [0b1101, -1])
+        assert wide == build_context(2, 2, [0b01, 0b11])
+        assert wide.incidence == ((True, False), (True, True))
+
+    def test_bit_row_count_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            FormalContext.from_bit_rows(("a", "b"), ("x",), [1])
 
 
 class TestDerivations:
@@ -136,10 +150,42 @@ class TestEnumeration:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(InputError):
             enumerate_concepts(contranomial(2), algorithm="magic")
+        with pytest.raises(InputError):
+            count_concepts(contranomial(2), algorithm="magic")
 
     def test_scan_guard(self):
         with pytest.raises(SizeError):
             enumerate_concepts(empty_relation(21, 1), algorithm="scan")
+        with pytest.raises(SizeError):
+            count_concepts(empty_relation(21, 1), algorithm="scan")
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # Object i has attributes i..k-1, so the concepts form one chain of
+        # length k; a recursive close-by-one would nest k calls deep.
+        script = textwrap.dedent(
+            """
+            import sys
+            from randfca import FormalContext, count_concepts, enumerate_concepts
+
+            k = 150
+            labels = [str(i) for i in range(k)]
+            full = (1 << k) - 1
+            ctx = FormalContext.from_bit_rows(
+                labels, labels, [full ^ ((1 << i) - 1) for i in range(k)]
+            )
+            sys.setrecursionlimit(100)
+            print(count_concepts(ctx), len(enumerate_concepts(ctx)))
+            """
+        )
+        src = str(Path(randfca.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["150", "150"]
 
     def test_algorithms_agree_on_seeded_contexts(self):
         for trial in range(60):
@@ -147,6 +193,7 @@ class TestEnumeration:
             via_cbo = enumerate_concepts(ctx, algorithm="close-by-one")
             via_scan = enumerate_concepts(ctx, algorithm="closure-scan")
             assert via_cbo == via_scan
+            assert count_concepts(ctx, "cbo") == count_concepts(ctx, "scan") == len(via_cbo)
 
     def test_output_is_sorted_by_extent_bit_pattern(self):
         ctx = contranomial(3)
