@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
-from .context import FormalContext, count_concepts, enumerate_concepts
+from .context import Concept, FormalContext, count_concepts, enumerate_concepts
 from .cxt import CxtDocument, read_cxt, write_cxt
-from .errors import InputError, InternalError, RandFcaError
+from .errors import InputError, InternalError, ParseError, RandFcaError
 from .expectation import (
     expected_concepts,
     expected_concepts_bruteforce,
@@ -38,6 +38,10 @@ _MAX_NS_BITS = 64
 # Per-case agreement bounds between formula and brute force.
 VERIFY_REL_TOL = 1e-10
 VERIFY_ABS_TOL = 1e-12
+
+# Stands in for the concept listing while the `concepts --json` envelope is
+# encoded; no argv string can hold NUL.
+_LISTING_PLACEHOLDER = "\0concepts\0"
 
 
 class _UsageError(Exception):
@@ -65,7 +69,7 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
-def _print_envelope(command: str, params: dict, payload: dict, started: float) -> None:
+def _envelope_json(command: str, params: dict, payload: dict, started: float) -> str:
     envelope = {
         "schema_version": "1",
         "command": command,
@@ -73,7 +77,31 @@ def _print_envelope(command: str, params: dict, payload: dict, started: float) -
         "payload": payload,
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
     }
-    print(json.dumps(_json_safe(envelope), indent=2, allow_nan=False))
+    return json.dumps(_json_safe(envelope), indent=2, allow_nan=False)
+
+
+def _print_envelope(command: str, params: dict, payload: dict, started: float) -> None:
+    print(_envelope_json(command, params, payload, started))
+
+
+def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
+    """The payload's "concepts" array, byte for byte as json.dumps(indent=2)
+    writes it at that depth, from labels encoded once instead of per use."""
+    objects = ["          " + json.dumps(label) for label in ctx.objects]
+    attributes = ["          " + json.dumps(label) for label in ctx.attributes]
+
+    def side(lines: list[str], indices: frozenset[int]) -> str:
+        if not indices:
+            return "[]"
+        return "[\n" + ",\n".join([lines[i] for i in sorted(indices)]) + "\n        ]"
+
+    # Never empty: every context has at least the concept closing the empty set.
+    blocks = [
+        f'      {{\n        "extent": {side(objects, c.extent)},'
+        f'\n        "intent": {side(attributes, c.intent)}\n      }}'
+        for c in concepts
+    ]
+    return "[\n" + ",\n".join(blocks) + "\n    ]"
 
 
 def _parse_prob(text: str, rational: bool) -> float | Fraction:
@@ -108,10 +136,18 @@ def _parse_ns(text: str) -> list[int]:
 
 
 def _read_input(path: str | None) -> str:
-    if path is None:
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The input text; bytes that are not UTF-8 are a ParseError (exit 1).
+
+    Stdin is decoded here, not by its text layer, whose error handler
+    depends on the locale.
+    """
+    try:
+        if path is None:
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}") from None
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -160,15 +196,13 @@ def _cmd_concepts(args: argparse.Namespace) -> int:
         return 0
     concepts = enumerate_concepts(ctx, algorithm=args.algo)
     if args.json:
-        listing = [
-            {
-                "extent": [ctx.objects[i] for i in sorted(c.extent)],
-                "intent": [ctx.attributes[j] for j in sorted(c.intent)],
-            }
-            for c in concepts
-        ]
-        payload = {"count": len(concepts), "concepts": listing}
-        _print_envelope("concepts", params, payload, started)
+        # The envelope is encoded around a placeholder, which is then replaced
+        # by the listing text. The placeholder is the envelope's last string,
+        # so its last occurrence is the one to replace.
+        payload = {"count": len(concepts), "concepts": _LISTING_PLACEHOLDER}
+        text = _envelope_json("concepts", params, payload, started)
+        head, _, tail = text.rpartition(json.dumps(_LISTING_PLACEHOLDER))
+        print(head + _concept_listing(ctx, concepts) + tail)
         return 0
     print(f"concepts: {len(concepts)}")
     for concept in concepts:

@@ -1,11 +1,21 @@
+import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from randfca import InternalError
+import randfca
+import randfca.cli
+from randfca import CxtDocument, FormalContext, InternalError, enumerate_concepts, write_cxt
 from randfca.cli import main
 
 
@@ -112,7 +122,7 @@ class TestGenAndConcepts:
                 "--seed", "31", "--out", str(path),
             )
             assert code == 0
-            monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes())))
             code, out, _ = run(capsys, "concepts", "--count-only")
             assert code == 0
             outputs.append(out)
@@ -171,6 +181,123 @@ class TestGenAndConcepts:
         code, _, err = run(capsys, "concepts", "--in", str(path))
         assert code == 1
         assert "line 1" in err
+
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "bad.cxt"
+        path.write_bytes(b"B\n\n1\n1\n\ng\xff\nm\nX\n")
+        code, out, err = run(capsys, "concepts", "--in", str(path), "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "not valid UTF-8" in err
+
+    @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+    def test_non_utf8_stdin_exits_one(self, locale):
+        # The POSIX locale decodes stdin with surrogateescape and a UTF-8
+        # locale strictly; either way the bytes must be refused as input.
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env.update(LC_ALL=locale, PYTHONPATH=str(Path(randfca.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "randfca", "concepts", "--json"],
+            input=b"B\n\n1\n1\n\ng\xff\nm\nX\n",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, b""), result.stderr
+        assert result.stderr.startswith(b"error: ")
+        assert b"not valid UTF-8" in result.stderr
+
+    def test_crlf_file_is_read_like_lf(self, capsys, tmp_path):
+        crlf, lf = tmp_path / "crlf.cxt", tmp_path / "lf.cxt"
+        crlf.write_bytes(b"B\r\n\r\n2\r\n2\r\n\r\na\r\nb\r\nx\r\ny\r\nX.\r\n.X\r\n")
+        lf.write_bytes(b"B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n")
+        code, out, _ = run(capsys, "concepts", "--in", str(crlf))
+        assert code == 0
+        assert out == run(capsys, "concepts", "--in", str(lf))[1]
+        assert out.startswith("concepts: 4\n")
+
+
+_ODD_CHARACTERS = ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\U0001d538"]
+_LABEL = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(_ODD_CHARACTERS),
+        st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)),
+    ),
+    max_size=3,
+)
+
+
+def _reference_listing(ctx: FormalContext, algo: str, path: str) -> str:
+    """`concepts --json` stdout as a dict tree through json.dumps(indent=2)."""
+    concepts = enumerate_concepts(ctx, algorithm=algo)
+    listing = [
+        {
+            "extent": [ctx.objects[i] for i in sorted(c.extent)],
+            "intent": [ctx.attributes[j] for j in sorted(c.intent)],
+        }
+        for c in concepts
+    ]
+    envelope = {
+        "schema_version": "1",
+        "command": "concepts",
+        "params": {"in": path, "algo": algo, "count_only": False},
+        "payload": {"count": len(concepts), "concepts": listing},
+        "wall_time_ms": 0,
+    }
+    return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+
+
+class TestConceptListing:
+    @pytest.fixture(scope="class")
+    def cxt_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("listing") / "ctx.cxt"
+
+    @pytest.mark.parametrize("algo", ["cbo", "scan"])
+    @given(
+        objects=st.lists(_LABEL, max_size=4, unique=True),
+        attributes=st.lists(_LABEL, max_size=4, unique=True),
+        bits=st.lists(st.integers(0, 15), min_size=4, max_size=4),
+    )
+    @example(objects=[], attributes=["", '"\\', "\u00e9\U0001d538"], bits=[0, 0, 0, 0])
+    @example(objects=["\U0001f600", "\x00"], attributes=[], bits=[0, 0, 0, 0])
+    @example(objects=["a", "b"], attributes=["x", "y"], bits=[1, 2, 0, 0])
+    def test_json_listing_matches_a_dict_tree_dump(self, cxt_path, algo, objects, attributes, bits):
+        ctx = FormalContext.from_bit_rows(objects, attributes, bits[: len(objects)])
+        cxt_path.write_bytes(write_cxt(CxtDocument(ctx)).encode("utf-8"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["concepts", "--in", str(cxt_path), "--algo", algo, "--json"])
+        assert code == 0
+        text = re.sub(r'"wall_time_ms": \d+\n\}\n\Z', '"wall_time_ms": 0\n}\n', out.getvalue())
+        assert text == _reference_listing(ctx, algo, str(cxt_path))
+
+    def test_enumerate_and_count_are_called_through_the_cli_names(self, capsys, tmp_path, monkeypatch):
+        # perfbench/tracing.py times listing by wrapping the name
+        # randfca.cli.enumerate_concepts, and counts the concepts by len() of
+        # its result; --count-only must go through randfca.cli.count_concepts.
+        calls = {"enumerate": [], "count": []}
+        enumerate_, count = randfca.cli.enumerate_concepts, randfca.cli.count_concepts
+
+        def counting_enumerate(*args, **kwargs):
+            result = enumerate_(*args, **kwargs)
+            calls["enumerate"].append(len(result))
+            return result
+
+        def counting_count(*args, **kwargs):
+            result = count(*args, **kwargs)
+            calls["count"].append(result)
+            return result
+
+        monkeypatch.setattr("randfca.cli.enumerate_concepts", counting_enumerate)
+        monkeypatch.setattr("randfca.cli.count_concepts", counting_count)
+        path = tmp_path / "ctx.cxt"
+        path.write_text("B\n\n3\n2\n\na\nb\nc\nx\ny\nX.\n.X\nXX\n")
+        envelope = run_json(capsys, "concepts", "--in", str(path), "--json")
+        assert calls == {"enumerate": [envelope["payload"]["count"]], "count": []}
+        assert len(envelope["payload"]["concepts"]) == envelope["payload"]["count"]
+        calls["enumerate"].clear()
+        envelope = run_json(capsys, "concepts", "--in", str(path), "--json", "--count-only")
+        assert calls == {"enumerate": [], "count": [envelope["payload"]["count"]]}
 
 
 class TestMc:
