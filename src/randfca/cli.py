@@ -19,7 +19,7 @@ from typing import Any, Sequence
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import Concept, FormalContext, count_concepts, enumerate_concepts
 from .cxt import CxtDocument, read_cxt, write_cxt
-from .errors import InputError, InternalError, ParseError, RandFcaError
+from .errors import InputError, InternalError, RandFcaError
 from .expectation import (
     expected_concepts,
     expected_concepts_bruteforce,
@@ -69,19 +69,17 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
-def _envelope_json(command: str, params: dict, payload: dict, started: float) -> str:
+def _envelope_json(args: argparse.Namespace, payload: dict, started: float) -> str:
+    """The report envelope; its params are the command's options as parsed."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "json", "func")}
     envelope = {
         "schema_version": "1",
-        "command": command,
+        "command": args.command,
         "params": params,
         "payload": payload,
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
     }
     return json.dumps(_json_safe(envelope), indent=2, allow_nan=False)
-
-
-def _print_envelope(command: str, params: dict, payload: dict, started: float) -> None:
-    print(_envelope_json(command, params, payload, started))
 
 
 def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
@@ -135,19 +133,12 @@ def _parse_ns(text: str) -> list[int]:
     return [_parse_n(token.strip()) for token in text.split(",") if token.strip()]
 
 
-def _read_input(path: str | None) -> str:
-    """The input text; bytes that are not UTF-8 are a ParseError (exit 1).
-
-    Stdin is decoded here, not by its text layer, whose error handler
-    depends on the locale.
-    """
-    try:
-        if path is None:
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}") from None
+def _read_input(path: str | None) -> bytes:
+    """The input bytes, undecoded: read_cxt decodes them, whatever the source."""
+    if path is None:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -162,7 +153,7 @@ def _label_set(labels: Sequence[str], indices: frozenset[int]) -> str:
     return "{" + ", ".join(labels[i] for i in sorted(indices)) + "}"
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
     sampled = sample_context(params, Seed(args.seed))
     ctx = FormalContext(
@@ -180,40 +171,32 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         }
         text = json.dumps(document, indent=2) + "\n"
     _write_output(args.out, text)
-    return 0
 
 
-def _cmd_concepts(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    ctx = read_cxt(_read_input(args.input)).context
-    params = {"in": args.input, "algo": args.algo, "count_only": args.count_only}
+def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
+    ctx = read_cxt(_read_input(getattr(args, "in"))).context
     if args.count_only:
         count = count_concepts(ctx, algorithm=args.algo)
-        if args.json:
-            _print_envelope("concepts", params, {"count": count}, started)
-        else:
-            print(count)
-        return 0
+        print(_envelope_json(args, {"count": count}, started) if args.json else count)
+        return
     concepts = enumerate_concepts(ctx, algorithm=args.algo)
     if args.json:
         # The envelope is encoded around a placeholder, which is then replaced
         # by the listing text. The placeholder is the envelope's last string,
         # so its last occurrence is the one to replace.
         payload = {"count": len(concepts), "concepts": _LISTING_PLACEHOLDER}
-        text = _envelope_json("concepts", params, payload, started)
+        text = _envelope_json(args, payload, started)
         head, _, tail = text.rpartition(json.dumps(_LISTING_PLACEHOLDER))
         print(head + _concept_listing(ctx, concepts) + tail)
-        return 0
+        return
     print(f"concepts: {len(concepts)}")
     for concept in concepts:
         extent = _label_set(ctx.objects, concept.extent)
         intent = _label_set(ctx.attributes, concept.intent)
         print(f"  {extent} / {intent}")
-    return 0
 
 
-def _cmd_expect(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_expect(args: argparse.Namespace, started: float) -> None:
     p = _parse_prob(args.p, args.rational)
     q = _parse_prob(args.q, args.rational)
     params = ModelParams(args.n, float(p), float(q))
@@ -234,13 +217,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
         }
         if exact is not None:
             payload["exact"] = str(exact)
-        _print_envelope(
-            "expect",
-            {"n": args.n, "p": args.p, "q": args.q, "rational": args.rational},
-            payload,
-            started,
-        )
-        return 0
+        print(_envelope_json(args, payload, started))
+        return
     print(f"expected concepts: {_fmt(report.value)}")
     if exact is not None:
         print(f"exact: {exact}")
@@ -251,11 +229,9 @@ def _cmd_expect(args: argparse.Namespace) -> int:
         f"terms: {total} total = {report.terms_evaluated} evaluated"
         f" + {report.terms_skipped_zero} zero"
     )
-    return 0
 
 
-def _cmd_mc(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_mc(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
     if args.compare_exact:
         comparison = compare_with_exact(
@@ -283,21 +259,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         if comparison is not None:
             payload["exact"] = comparison.exact
             payload["z"] = comparison.z
-        _print_envelope(
-            "mc",
-            {
-                "n": args.n,
-                "p": args.p,
-                "q": args.q,
-                "samples": args.samples,
-                "seed": args.seed,
-                "workers": args.workers,
-                "compare_exact": args.compare_exact,
-            },
-            payload,
-            started,
-        )
-        return 0
+        print(_envelope_json(args, payload, started))
+        return
     print(f"mean: {_fmt(result.mean)}")
     print(f"stderr: {_fmt(result.stderr)}")
     print(f"ci95: [{_fmt(result.ci95_low)}, {_fmt(result.ci95_high)}]")
@@ -306,13 +269,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     if comparison is not None:
         print(f"exact: {_fmt(comparison.exact)}")
         print(f"z: {_fmt(comparison.z)}")
-    return 0
 
 
-def _cmd_asymptotic(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    ns = _parse_ns(args.ns) if args.ns is not None else list(DEFAULT_TABLE_NS)
-    rows = table_report(ns)
+def _cmd_asymptotic(args: argparse.Namespace, started: float) -> None:
+    # The report's params carry the parsed values.
+    args.ns = _parse_ns(args.ns) if args.ns is not None else list(DEFAULT_TABLE_NS)
+    rows = table_report(args.ns)
     if args.json:
         payload = {
             "rows": [
@@ -330,8 +292,8 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
                 for row in rows
             ]
         }
-        _print_envelope("asymptotic", {"ns": ns}, payload, started)
-        return 0
+        print(_envelope_json(args, payload, started))
+        return
     header = (
         f"{'n':>12} {'a':>4} {'b':>4} {'c':>12} {'d':>12}"
         f" {'log_term':>14} {'gap':>8} {'threshold':>10}"
@@ -344,11 +306,9 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
             f" {round_half_up(row.gap, 3):>8.3f}"
             f" {'yes' if row.exceeds_threshold else 'no':>10}"
         )
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args: argparse.Namespace, started: float) -> None:
     grid = DEFAULT_VERIFY_GRID
     cases = 0
     max_error = 0.0
@@ -385,20 +345,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "max_n": args.max_n,
-            "grid": "default",
+            "grid": args.grid,
             "cases": cases,
             "max_normalized_error": max_error,
             "ok": all_ok,
             "worst": worst,
         }
-        _print_envelope(
-            "verify", {"max_n": args.max_n, "grid": "default"}, payload, started
-        )
-        return 0
+        print(_envelope_json(args, payload, started))
+        return
     print(f"cases: {cases} (n <= {args.max_n}, {len(grid)}x{len(grid)} probability grid)")
     print(f"max relative error: {max_error:.3e}")
     print("OK")
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -418,7 +375,7 @@ def _build_parser() -> _Parser:
     gen.set_defaults(func=_cmd_gen)
 
     concepts = sub.add_parser("concepts", help="enumerate concepts of a context file")
-    concepts.add_argument("--in", dest="input", default=None, help="input .cxt file (default stdin)")
+    concepts.add_argument("--in", default=None, help="input .cxt file (default stdin)")
     concepts.add_argument("--algo", choices=("cbo", "scan"), default="cbo")
     concepts.add_argument("--count-only", action="store_true")
     concepts.add_argument("--json", action="store_true")
@@ -456,7 +413,7 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="cross-check the exact formula against brute force")
     verify.add_argument("--max-n", type=int, default=DEFAULT_VERIFY_MAX_N)
     verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=_cmd_verify, grid="default")
 
     return parser
 
@@ -464,7 +421,8 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args, time.perf_counter())
+        return 0
     except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

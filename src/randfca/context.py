@@ -36,14 +36,6 @@ from .errors import InputError, SizeError
 
 MAX_SCAN_OBJECTS = 20
 
-ALGORITHMS = ("close-by-one", "closure-scan")
-_ALGORITHM_ALIASES = {
-    "close-by-one": "close-by-one",
-    "cbo": "close-by-one",
-    "closure-scan": "closure-scan",
-    "scan": "closure-scan",
-}
-
 
 @dataclass(frozen=True, init=False)
 class FormalContext:
@@ -225,14 +217,22 @@ def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
             yield extent, intent
 
 
+_TRAVERSALS = {
+    "close-by-one": _close_by_one,
+    "cbo": _close_by_one,
+    "closure-scan": _closure_scan,
+    "scan": _closure_scan,
+}
+
+
 def _pairs(ctx: FormalContext, algorithm: str) -> Iterator[tuple[int, int]]:
     try:
-        name = _ALGORITHM_ALIASES[algorithm]
+        traversal = _TRAVERSALS[algorithm]
     except KeyError:
         raise InputError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+            f"unknown algorithm {algorithm!r}; expected one of {tuple(_TRAVERSALS)}"
         ) from None
-    return _close_by_one(ctx) if name == "close-by-one" else _closure_scan(ctx)
+    return traversal(ctx)
 
 
 def enumerate_concepts(

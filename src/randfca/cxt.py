@@ -1,6 +1,7 @@
 """Plain-text cross-table context files (.cxt).
 
-The format, with LF line endings throughout:
+The format, one field per line (CRLF and lone-CR endings, from a file or
+from stdin alike, are read as LF):
 
     line 1      the magic character "B"
     line 2      blank (a context name is tolerated here when reading)
@@ -11,7 +12,7 @@ The format, with LF line endings throughout:
     next |M|    attribute labels, one per line
     next |G|    incidence rows: exactly |M| characters, 'X' or '.'
 
-Writing always emits a blank line 2 unless the document carries a title.
+Writing emits LF endings, and a blank line 2 unless the document carries a title.
 """
 
 from __future__ import annotations
@@ -81,15 +82,14 @@ def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
 
 
 def read_cxt(data: str | bytes) -> CxtDocument:
-    """Parse a cross-table document. Raises ParseError with a line number."""
+    """Parse a cross-table document, str or UTF-8 bytes, with universal
+    newlines. Raises ParseError with a line number."""
     if isinstance(data, (bytes, bytearray)):
         try:
-            text = data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
-    reader = _LineReader(text)
+    reader = _LineReader(data.replace("\r\n", "\n").replace("\r", "\n"))
     magic = reader.take("magic line 'B'")
     if magic != "B":
         raise ParseError(f"expected magic line 'B', got {magic!r}", 1)

@@ -23,6 +23,7 @@ depend on how samples are scheduled across workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -74,17 +75,10 @@ def derive_seed(master: SeedLike, index: int) -> int:
     return mix64((m + GOLDEN_GAMMA * (index + 1)) & MASK64)
 
 
-class _BitStream:
-    """SplitMix64 output stream serving Bernoulli draws."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & MASK64
-
-    def next_word(self) -> int:
-        self._state = (self._state + GOLDEN_GAMMA) & MASK64
-        return mix64(self._state)
+def _stream(seed: int) -> Iterator[int]:
+    """The SplitMix64 stream seeded with `seed`: word k (from 1) is
+    mix64(seed + k * GOLDEN_GAMMA), so derive_seed(seed, k) is its word k + 1."""
+    return map(mix64, itertools.count(seed + GOLDEN_GAMMA, GOLDEN_GAMMA))
 
 
 def _threshold(p: float) -> int:
@@ -119,20 +113,15 @@ def sample_context(params: ModelParams, seed: SeedLike) -> FormalContext:
     Element i keeps its universe label str(i); objects and attributes each
     appear in ascending universe order.
     """
-    stream = _BitStream(_master_of(seed))
+    words = _stream(_master_of(seed))
     p_threshold = _threshold(params.p)
     q_threshold = _threshold(params.q)
-    is_object = [stream.next_word() < p_threshold for _ in range(params.n)]
+    is_object = [next(words) < p_threshold for _ in range(params.n)]
     objects = tuple(str(i + 1) for i in range(params.n) if is_object[i])
     attributes = tuple(str(i + 1) for i in range(params.n) if not is_object[i])
     m = len(attributes)
-    rows = []
-    for _ in objects:
-        mask = 0
-        for j in range(m):
-            if stream.next_word() < q_threshold:
-                mask |= 1 << j
-        rows.append(mask)
+    # Row-major: the words of row i are drawn before those of row i + 1.
+    rows = [sum(1 << j for j in range(m) if next(words) < q_threshold) for _ in objects]
     return FormalContext.from_bit_rows(objects, attributes, rows)
 
 

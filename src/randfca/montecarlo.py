@@ -8,6 +8,7 @@ index order, so the result is bit-identical whatever the worker count.
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,7 +66,9 @@ def _sample_counts(
         (params, master, start, min(start + block, samples))
         for start in range(0, samples, block)
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # A fork pool starts all its processes at the first submit: no more than
+    # there are blocks, or CPUs to run them.
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         return [count for counts in pool.map(_count_block, jobs) for count in counts]
 
 

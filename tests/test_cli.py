@@ -207,7 +207,7 @@ class TestGenAndConcepts:
         assert result.stderr.startswith(b"error: ")
         assert b"not valid UTF-8" in result.stderr
 
-    def test_crlf_file_is_read_like_lf(self, capsys, tmp_path):
+    def test_crlf_file_is_read_like_lf(self, capsys, tmp_path, monkeypatch):
         crlf, lf = tmp_path / "crlf.cxt", tmp_path / "lf.cxt"
         crlf.write_bytes(b"B\r\n\r\n2\r\n2\r\n\r\na\r\nb\r\nx\r\ny\r\nX.\r\n.X\r\n")
         lf.write_bytes(b"B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n")
@@ -215,6 +215,13 @@ class TestGenAndConcepts:
         assert code == 0
         assert out == run(capsys, "concepts", "--in", str(lf))[1]
         assert out.startswith("concepts: 4\n")
+        # The same bytes on stdin, and lone-CR endings from either source.
+        cr = tmp_path / "cr.cxt"
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        assert run(capsys, "concepts", "--in", str(cr)) == (0, out, "")
+        for path in (crlf, cr):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes())))
+            assert run(capsys, "concepts") == (0, out, "")
 
 
 _ODD_CHARACTERS = ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\U0001d538"]
@@ -341,6 +348,56 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --grid" in err
+
+
+class TestParams:
+    """Every envelope's params, values and key order, as the options parse."""
+
+    @pytest.mark.parametrize(
+        "argv,params",
+        [
+            (
+                ["expect", "--n", "2", "--p", "0.5", "--q", "0.5"],
+                [("n", 2), ("p", "0.5"), ("q", "0.5"), ("rational", False)],
+            ),
+            (
+                ["expect", "--n", "2", "--p", "1/2", "--q", "1/3", "--rational"],
+                [("n", 2), ("p", "1/2"), ("q", "1/3"), ("rational", True)],
+            ),
+            (
+                ["mc", "--n", "5", "--p", "0.5", "--q", "0.5", "--samples", "40", "--seed", "9"],
+                [("n", 5), ("p", 0.5), ("q", 0.5), ("samples", 40), ("seed", 9),
+                 ("workers", 1), ("compare_exact", False)],
+            ),
+            (
+                ["mc", "--n", "5", "--p", "0.5", "--q", "0.5", "--samples", "40", "--seed", "9",
+                 "--workers", "2", "--compare-exact"],
+                [("n", 5), ("p", 0.5), ("q", 0.5), ("samples", 40), ("seed", 9),
+                 ("workers", 2), ("compare_exact", True)],
+            ),
+            (["asymptotic"], [("ns", [10**k for k in range(1, 11)])]),
+            (["asymptotic", "--ns", "10^4,1e5"], [("ns", [10000, 100000])]),
+            (["verify", "--max-n", "2"], [("max_n", 2), ("grid", "default")]),
+            (
+                ["concepts", "--in", "{cxt}"],
+                [("in", "{cxt}"), ("algo", "cbo"), ("count_only", False)],
+            ),
+            (
+                ["concepts", "--in", "{cxt}", "--algo", "scan", "--count-only"],
+                [("in", "{cxt}"), ("algo", "scan"), ("count_only", True)],
+            ),
+        ],
+    )
+    def test_params(self, capsys, tmp_path, schema, argv, params):
+        path = tmp_path / "ctx.cxt"
+        path.write_text("B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n")
+
+        def fill(value):
+            return str(path) if value == "{cxt}" else value
+
+        envelope = run_json(capsys, *map(fill, argv), "--json")
+        jsonschema.validate(envelope, schema)
+        assert list(envelope["params"].items()) == [(k, fill(v)) for k, v in params]
 
 
 class TestErrorHandling:

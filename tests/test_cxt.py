@@ -37,6 +37,12 @@ class TestRead:
     def test_accepts_bytes(self):
         assert read_cxt(IDENTITY_2X2.encode()) == read_cxt(IDENTITY_2X2)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_read_as_lf(self, newline):
+        text = IDENTITY_2X2.replace("\n", newline)
+        assert read_cxt(text) == read_cxt(IDENTITY_2X2)
+        assert read_cxt(text.encode()) == read_cxt(IDENTITY_2X2)
+
     def test_title_line_is_kept(self):
         doc = read_cxt("B\nmy table\n1\n1\n\ng\nm\nX\n")
         assert doc.title == "my table"

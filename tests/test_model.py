@@ -67,6 +67,20 @@ class TestSampling:
         empty = sample_context(ModelParams(6, 0.5, 0.0), Seed(3))
         assert empty.incidence_count == 0
 
+    @pytest.mark.parametrize(
+        "params,seed,objects,attributes,rows",
+        [
+            ((10, 0.5, 0.5), 2, ("5", "6", "9"), ("1", "2", "3", "4", "7", "8", "10"), (107, 111, 48)),
+            ((9, 0.3, 0.8), 12345, ("1", "2", "3", "4", "7"), ("5", "6", "8", "9"), (14, 12, 13, 15, 15)),
+            ((10, 0.7, 0.15), 2**63 + 7, ("1", "2", "4", "8", "10"), ("3", "5", "6", "7", "9"), (1, 1, 1, 0, 0)),
+        ],
+    )
+    def test_pinned_draws(self, params, seed, objects, attributes, rows):
+        # The exact contexts the SplitMix64 stream yields; any change to the
+        # draw order or the Bernoulli rule changes them.
+        ctx = sample_context(ModelParams(*params), Seed(seed))
+        assert ctx == FormalContext.from_bit_rows(objects, attributes, rows)
+
     def test_deterministic(self):
         params = ModelParams(10, 0.4, 0.6)
         assert sample_context(params, Seed(77)) == sample_context(params, Seed(77))

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from randfca import (
@@ -39,6 +41,31 @@ def test_worker_count_does_not_change_results():
     serial = estimate(params, 500, Seed(21), workers=1)
     parallel = estimate(params, 500, Seed(21), workers=3)
     assert serial == parallel
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # The pool is replaced by an in-process fake, so no process is started.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("randfca.montecarlo.ProcessPoolExecutor", InlinePool)
+    params = ModelParams(6, 0.5, 0.5)
+    result = estimate(params, 8, Seed(3), workers=10**6)
+    assert len(sizes) == 1
+    assert sizes[0] <= (os.cpu_count() or 1)
+    assert result == estimate(params, 8, Seed(3), workers=1)
 
 
 def test_reproducible():
