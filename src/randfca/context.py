@@ -74,16 +74,19 @@ class FormalContext:
         objects = tuple(objects)
         attributes = tuple(attributes)
         m = len(attributes)
-        rows = tuple(r & ((1 << m) - 1) for r in rows)
+        full = (1 << m) - 1
+        rows = tuple([r & full for r in rows])
         if len(set(objects)) != len(objects):
             raise InputError("object labels must be pairwise distinct")
         if len(set(attributes)) != len(attributes):
             raise InputError("attribute labels must be pairwise distinct")
         if len(rows) != len(objects):
             raise InputError(f"incidence has {len(rows)} rows, expected {len(objects)}")
-        cols = tuple(
-            sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(m)
-        )
+        # Transpose as text: join the rows' m-digit numerals, last row first.
+        # Bit j of each row is then every m-th digit from place m - 1 - j,
+        # last row first, which is column j's numeral.
+        digits = "".join([f"{r:0{m}b}" for r in reversed(rows)])
+        cols = tuple([int(digits[m - 1 - j :: m] or "0", 2) for j in range(m)])
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "_rows", rows)

@@ -1,7 +1,8 @@
 """Plain-text cross-table context files (.cxt).
 
 The format, one field per line (CRLF and lone-CR endings, from a file or
-from stdin alike, are read as LF):
+from stdin alike, are read as LF, and one leading UTF-8 byte-order mark is
+skipped):
 
     line 1      the magic character "B"
     line 2      blank (a context name is tolerated here when reading)
@@ -83,12 +84,15 @@ def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
 
 def read_cxt(data: str | bytes) -> CxtDocument:
     """Parse a cross-table document, str or UTF-8 bytes, with universal
-    newlines. Raises ParseError with a line number."""
+    newlines and one leading byte-order mark skipped. Raises ParseError
+    with a line number."""
     if isinstance(data, (bytes, bytearray)):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from None
+    else:
+        data = data.removeprefix("\ufeff")
     reader = _LineReader(data.replace("\r\n", "\n").replace("\r", "\n"))
     magic = reader.take("magic line 'B'")
     if magic != "B":

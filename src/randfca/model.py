@@ -19,11 +19,17 @@ draw is true iff the word is below int(p * 2**64).
 Sample k of a batch uses ``derive_seed(master, k)``, the (k+1)-th output of
 the SplitMix64 stream seeded with the master seed, so batched results never
 depend on how samples are scheduled across workers.
+
+The sampler computes the words up to _LANES at a time, one per 128-bit lane
+of a Python integer, so each step of mix64 is one big-integer operation
+for all of them. That changes how the words are computed, not which:
+the stream, its order and the Bernoulli rule are as stated above, and
+where a chunk of lanes ends never changes a draw.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -38,6 +44,12 @@ _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 
 MAX_SAMPLE_SPACE_N = 6
+
+# Words per chunk, at 16 bytes of lane each: this bounds the integers a
+# sampling call works on, whatever the context size.
+_LANES = 1024
+# Byte 8 of a lane (bit 64) is 1 iff its word failed the Bernoulli draw.
+_NEGATED_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
 @dataclass(frozen=True)
@@ -75,15 +87,48 @@ def derive_seed(master: SeedLike, index: int) -> int:
     return mix64((m + GOLDEN_GAMMA * (index + 1)) & MASK64)
 
 
-def _stream(seed: int) -> Iterator[int]:
-    """The SplitMix64 stream seeded with `seed`: word k (from 1) is
-    mix64(seed + k * GOLDEN_GAMMA), so derive_seed(seed, k) is its word k + 1."""
-    return map(mix64, itertools.count(seed + GOLDEN_GAMMA, GOLDEN_GAMMA))
-
-
 def _threshold(p: float) -> int:
     # P(word < threshold) = p up to 1 ulp of p; exact at 0, 1 and dyadics.
     return int(p * 18446744073709551616.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _lane_constants(lanes: int) -> tuple[int, int, int]:
+    """(ones, mask, steps) over `lanes` 128-bit lanes: lane i holds 1,
+    2**64 - 1 and (i + 1) * GOLDEN_GAMMA mod 2**64 respectively."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * lanes, "little")
+    steps = b"".join(
+        (k * GOLDEN_GAMMA & MASK64).to_bytes(16, "little") for k in range(1, lanes + 1)
+    )
+    return ones, ones * MASK64, int.from_bytes(steps, "little")
+
+
+def _bernoulli_digits(seed: int, start: int, count: int, p: float) -> Iterator[bytes]:
+    """Bernoulli(p) outcomes of words start + 1 .. start + count of the
+    stream, word k being mix64(seed + k * GOLDEN_GAMMA), as ASCII digits
+    (b"1" true) in chunks of at most _LANES words.
+
+    Each step of mix64 runs on all lanes of a chunk at once. The mask keeps
+    each lane's value in its low 64 bits before every product, so a product
+    by a 64-bit multiplier never reaches the next lane. Adding 2**64 - T
+    then sets bit 64 of a lane iff its word is not below the threshold T.
+    """
+    lanes = _LANES
+    full_ones, full_mask, full_steps = _lane_constants(lanes)
+    bias = (1 << 64) - _threshold(p)
+    for first in range(start, start + count, lanes):
+        size = min(lanes, start + count - first)
+        ones, mask, steps = full_ones, full_mask, full_steps
+        if size < lanes:
+            low = (1 << 128 * size) - 1
+            ones, mask, steps = ones & low, mask & low, steps & low
+        x = (((seed + first * GOLDEN_GAMMA) & MASK64) * ones + steps) & mask
+        x = (((x ^ (x >> 30)) & mask) * _MIX_MULT_1) & mask
+        x = (((x ^ (x >> 27)) & mask) * _MIX_MULT_2) & mask
+        # Bits 64..96 of each lane are clear here, so bit 64 of the sum is
+        # the carry out of the lane's 64-bit value.
+        x = (x ^ (x >> 31)) + bias * ones
+        yield x.to_bytes(16 * size, "little")[8::16].translate(_NEGATED_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -113,15 +158,23 @@ def sample_context(params: ModelParams, seed: SeedLike) -> FormalContext:
     Element i keeps its universe label str(i); objects and attributes each
     appear in ascending universe order.
     """
-    words = _stream(_master_of(seed))
-    p_threshold = _threshold(params.p)
-    q_threshold = _threshold(params.q)
-    is_object = [next(words) < p_threshold for _ in range(params.n)]
-    objects = tuple(str(i + 1) for i in range(params.n) if is_object[i])
-    attributes = tuple(str(i + 1) for i in range(params.n) if not is_object[i])
+    master = _master_of(seed)
+    n = params.n
+    sides = b"".join(_bernoulli_digits(master, 0, n, params.p)).decode()
+    objects = tuple([str(i) for i, side in enumerate(sides, 1) if side == "1"])
+    attributes = tuple([str(i) for i, side in enumerate(sides, 1) if side == "0"])
     m = len(attributes)
-    # Row-major: the words of row i are drawn before those of row i + 1.
-    rows = [sum(1 << j for j in range(m) if next(words) < q_threshold) for _ in objects]
+    if not m:
+        return FormalContext.from_bit_rows(objects, attributes, [0] * len(objects))
+    # Row-major: the words of row i are drawn before those of row i + 1, and
+    # a row may straddle chunks, so its leading digits wait in `pending`.
+    rows = []
+    pending = b""
+    for digits in _bernoulli_digits(master, n, len(objects) * m, params.q):
+        pending += digits
+        end = len(pending) - len(pending) % m
+        rows += [int(pending[i : i + m][::-1], 2) for i in range(0, end, m)]
+        pending = pending[end:]
     return FormalContext.from_bit_rows(objects, attributes, rows)
 
 

@@ -223,6 +223,16 @@ class TestGenAndConcepts:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes())))
             assert run(capsys, "concepts") == (0, out, "")
 
+    def test_byte_order_mark_is_skipped_on_file_and_stdin(self, capsys, tmp_path, monkeypatch):
+        plain, bom = tmp_path / "plain.cxt", tmp_path / "bom.cxt"
+        plain.write_bytes(b"B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        code, out, _ = run(capsys, "concepts", "--in", str(plain))
+        assert (code, out.startswith("concepts: 4\n")) == (0, True)
+        assert run(capsys, "concepts", "--in", str(bom)) == (0, out, "")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bom.read_bytes())))
+        assert run(capsys, "concepts") == (0, out, "")
+
 
 _ODD_CHARACTERS = ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\U0001d538"]
 _LABEL = st.text(

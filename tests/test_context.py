@@ -5,7 +5,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import randfca
@@ -260,3 +260,27 @@ def test_derivation_is_antitone(ctx, data):
 @given(contexts(max_objects=6, max_attributes=6))
 def test_enumeration_algorithms_agree(ctx):
     assert enumerate_concepts(ctx, "close-by-one") == enumerate_concepts(ctx, "closure-scan")
+
+
+# Rows and a width m; the rows carry bits at and above m too.
+_ROWS_AND_WIDTH = st.integers(0, 12).flatmap(
+    lambda m: st.tuples(st.lists(st.integers(0, 2 ** (m + 8) - 1), max_size=12), st.just(m))
+)
+
+
+@given(_ROWS_AND_WIDTH)
+@example(([], 5))
+@example(([3, 256], 0))
+@example(([], 0))
+def test_columns_are_the_transpose_of_the_rows(rows_and_width):
+    rows, m = rows_and_width
+    objects = tuple(f"g{i}" for i in range(len(rows)))
+    attributes = tuple(f"m{j}" for j in range(m))
+    kept = tuple(r & ((1 << m) - 1) for r in rows)
+    cols = tuple(sum(1 << i for i, r in enumerate(kept) if r >> j & 1) for j in range(m))
+    table = [[bool(r >> j & 1) for j in range(m)] for r in kept]
+    for ctx in (
+        FormalContext.from_bit_rows(objects, attributes, rows),
+        FormalContext(objects, attributes, table),
+    ):
+        assert (ctx._rows, ctx._cols) == (kept, cols)

@@ -43,6 +43,14 @@ class TestRead:
         assert read_cxt(text) == read_cxt(IDENTITY_2X2)
         assert read_cxt(text.encode()) == read_cxt(IDENTITY_2X2)
 
+    def test_leading_byte_order_mark_is_skipped(self):
+        assert read_cxt("\ufeff" + IDENTITY_2X2) == read_cxt(IDENTITY_2X2)
+        assert read_cxt(b"\xef\xbb\xbf" + IDENTITY_2X2.encode()) == read_cxt(IDENTITY_2X2)
+        # Only one: a second mark is part of the magic line.
+        with pytest.raises(ParseError) as err:
+            read_cxt("\ufeff\ufeff" + IDENTITY_2X2)
+        assert err.value.line == 1
+
     def test_title_line_is_kept(self):
         doc = read_cxt("B\nmy table\n1\n1\n\ng\nm\nX\n")
         assert doc.title == "my table"

@@ -1,10 +1,13 @@
+import hashlib
+import itertools
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randfca import model
 from randfca import (
     FormalContext,
     InputError,
@@ -14,6 +17,7 @@ from randfca import (
     context_log_probability,
     derive_seed,
     enumerate_sample_space,
+    mix64,
     sample_context,
 )
 
@@ -165,3 +169,72 @@ class TestSampleSpace:
 @given(st.integers(0, 2**64 - 1), st.integers(0, 500))
 def test_derived_seeds_fit_in_64_bits(master, index):
     assert 0 <= derive_seed(master, index) < 2**64
+
+
+def _per_word_sample(params, seed):
+    """The sampler word by word, kept as an oracle: word k is
+    mix64(seed + k * gamma); the n side words come first, then the incidence
+    words row-major; a draw is true iff its word is below int(p * 2**64).
+    Returns (objects, attributes, rows, columns)."""
+    words = map(mix64, itertools.count(seed + 0x9E3779B97F4A7C15, 0x9E3779B97F4A7C15))
+    p_threshold = int(params.p * 2.0**64)
+    q_threshold = int(params.q * 2.0**64)
+    is_object = [next(words) < p_threshold for _ in range(params.n)]
+    objects = tuple(str(i + 1) for i in range(params.n) if is_object[i])
+    attributes = tuple(str(i + 1) for i in range(params.n) if not is_object[i])
+    m = len(attributes)
+    rows = tuple(sum(1 << j for j in range(m) if next(words) < q_threshold) for _ in objects)
+    cols = tuple(sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(m))
+    return objects, attributes, rows, cols
+
+
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 1 - 2**-53]),
+    st.integers(1, 53).flatmap(lambda k: st.integers(0, 2**k).map(lambda a: a / 2**k)),
+    st.floats(0.0, 1.0),
+)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 7, model._LANES])
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 90),
+    p=_PROBABILITIES,
+    q=_PROBABILITIES,
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_packed_sampler_matches_the_per_word_oracle(lanes, n, p, q, seed):
+    # Small chunks put chunk edges inside rows and at the end of the side
+    # draws; none of them may change a draw.
+    params = ModelParams(n, p, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_LANES", lanes)
+        ctx = sample_context(params, Seed(seed))
+    assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, seed)
+
+
+def test_chunks_are_capped_by_the_lane_constant(monkeypatch):
+    monkeypatch.setattr(model, "_LANES", 5)
+    chunks = list(model._bernoulli_digits(12345, 3, 12, 0.5))
+    assert [len(c) for c in chunks] == [5, 5, 2]
+    ones, mask, steps = model._lane_constants(5)
+    assert ones.bit_length() == mask.bit_length() - 63 == 128 * 4 + 1
+    assert steps.bit_length() <= 128 * 4 + 64
+
+
+@pytest.mark.parametrize(
+    "params,digest",
+    [
+        ((40, 0.5, 0.1), "2c3e613674049cf6d28c21b5132ce258f02465afdadc7fbea547958c7efc986d"),
+        ((40, 0.5, 0.9), "c8d5498d0521d3fbe2d68038142e0a8e37a6df7f4d18cea6c0da5e4030845e7b"),
+        ((20, 0.5, 0.5), "620ee6d769ad3669eef222c961259b43fdfa30d97bae50dcd9a7de0f9dcc8615"),
+    ],
+)
+def test_pinned_batch(params, digest):
+    # Samples 0..199 of master seed 8, as the Monte Carlo estimator draws
+    # them; the digests were recorded from the word-by-word sampler.
+    h = hashlib.sha256()
+    for k in range(200):
+        ctx = sample_context(ModelParams(*params), derive_seed(8, k))
+        h.update(repr((ctx.objects, ctx._rows)).encode())
+    assert h.hexdigest() == digest
