@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import Concept, FormalContext, count_concepts, enumerate_concepts
-from .cxt import CxtDocument, read_cxt, write_cxt
+from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError
 from .expectation import (
     expected_concepts,
@@ -156,10 +156,10 @@ def _label_set(labels: Sequence[str], indices: frozenset[int]) -> str:
 def _cmd_gen(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
     sampled = sample_context(params, Seed(args.seed))
-    ctx = FormalContext(
+    ctx = FormalContext.from_bit_rows(
         tuple(f"g{i}" for i in range(1, sampled.object_count + 1)),
         tuple(f"m{j}" for j in range(1, sampled.attribute_count + 1)),
-        sampled.incidence,
+        sampled._rows,
     )
     if args.format == "cxt":
         text = write_cxt(CxtDocument(ctx))
@@ -167,7 +167,7 @@ def _cmd_gen(args: argparse.Namespace, started: float) -> None:
         document = {
             "objects": list(ctx.objects),
             "attributes": list(ctx.attributes),
-            "rows": ["".join("X" if v else "." for v in row) for row in ctx.incidence],
+            "rows": cross_rows(ctx),
         }
         text = json.dumps(document, indent=2) + "\n"
     _write_output(args.out, text)
@@ -376,7 +376,7 @@ def _build_parser() -> _Parser:
 
     concepts = sub.add_parser("concepts", help="enumerate concepts of a context file")
     concepts.add_argument("--in", default=None, help="input .cxt file (default stdin)")
-    concepts.add_argument("--algo", choices=("cbo", "scan"), default="cbo")
+    concepts.add_argument("--algo", choices=("intersection", "cbo", "scan"), default="intersection")
     concepts.add_argument("--count-only", action="store_true")
     concepts.add_argument("--json", action="store_true")
     concepts.set_defaults(func=_cmd_concepts)

@@ -13,15 +13,21 @@ with an empty side have exactly one concept.
 
 Incidence is stored once, as integer bit rows (plus the bit columns
 derived from them), so derivation is a word-wise AND; the boolean matrix
-``incidence`` is computed on demand. Two enumeration strategies are
-provided, and both listing and counting run through them:
+``incidence`` is computed on demand. Three traversals are provided, and
+both listing and counting run through each:
 
+* ``intersection``: the intents are the full attribute set and every
+  intersection of object rows (Norris 1978), so closing the rows under
+  intersection in a set yields each intent once, with no closure and no
+  canonicity test. The smaller side's words are the ones closed. The
+  production traversal; it holds one int per concept.
 * ``close-by-one``: canonical depth-first generation over an explicit
   stack, so no context depth meets Python's recursion limit; each closed
-  extent is produced exactly once. The production enumerator.
+  extent is produced exactly once. Its memory grows only with the depth
+  of the context, so it is the low-memory counter, and the independent
+  oracle past closure-scan's size guard.
 * ``closure-scan``: checks all 2**|G| candidate extents for closedness.
-  Exponential by construction, guarded to |G| <= 20; kept as an
-  independent cross-check for the fancier algorithm.
+  Exponential by construction, guarded to |G| <= 20; the small oracle.
 
 All types are immutable after construction and safe to share across
 threads; enumeration itself is single-threaded.
@@ -30,7 +36,7 @@ threads; enumeration itself is single-threaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, SizeError
 
@@ -184,12 +190,42 @@ def is_concept(
     return ctx._intent_of(extent) == intent and ctx._extent_of(intent) == extent
 
 
+def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
+    """The full set and every intersection of rows, each once, and whether
+    they were taken over the transpose.
+
+    The context's rows give its intents. When there are fewer columns than
+    rows, the columns are closed instead, and give its extents.
+    """
+    words, full, transposed = ctx._rows, (1 << len(ctx.attributes)) - 1, False
+    if len(ctx._cols) < len(ctx._rows):
+        words, full, transposed = ctx._cols, (1 << len(ctx.objects)) - 1, True
+    closed = {full}
+    for word in words:
+        # The list is complete before the set grows.
+        closed.update([c & word for c in closed])
+    return closed, transposed
+
+
+def _intersection(ctx: FormalContext) -> Iterator[tuple[int, int]]:
+    """All (extent, intent) mask pairs, each exactly once.
+
+    Derives the other side of each closed set; a set closed over the
+    transpose is an extent, so its pair is swapped back.
+    """
+    closed, transposed = _closed_sets(ctx)
+    if transposed:
+        return ((extent, ctx._intent_of(extent)) for extent in closed)
+    return ((ctx._extent_of(intent), intent) for intent in closed)
+
+
 def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     """Yield all (extent, intent) mask pairs, each exactly once.
 
     Canonical generation over an explicit stack: from a closed extent, try
     adding each object above its branching point and keep the closure only
-    when it introduces no object below that point.
+    when it introduces no object below that point. Holds one stack entry
+    per pending branch, so its memory grows only with the context's depth.
     """
     n_objects = len(ctx.objects)
     extent = ctx._extent_of((1 << len(ctx.attributes)) - 1)
@@ -221,6 +257,7 @@ def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
 
 
 _TRAVERSALS = {
+    "intersection": _intersection,
     "close-by-one": _close_by_one,
     "cbo": _close_by_one,
     "closure-scan": _closure_scan,
@@ -228,32 +265,37 @@ _TRAVERSALS = {
 }
 
 
-def _pairs(ctx: FormalContext, algorithm: str) -> Iterator[tuple[int, int]]:
+def _traversal(algorithm: str) -> Callable[[FormalContext], Iterator[tuple[int, int]]]:
     try:
-        traversal = _TRAVERSALS[algorithm]
+        return _TRAVERSALS[algorithm]
     except KeyError:
         raise InputError(
             f"unknown algorithm {algorithm!r}; expected one of {tuple(_TRAVERSALS)}"
         ) from None
-    return traversal(ctx)
 
 
 def enumerate_concepts(
-    ctx: FormalContext, algorithm: str = "close-by-one"
+    ctx: FormalContext, algorithm: str = "intersection"
 ) -> list[Concept]:
     """All concepts of the context, each exactly once.
 
     Output order is canonical: ascending by the extent bit pattern read as
     an integer (object 0 = least significant bit), so repeated runs and
-    both algorithms produce identical lists.
+    all algorithms produce identical lists.
     """
-    ordered = sorted(_pairs(ctx, algorithm))
+    ordered = sorted(_traversal(algorithm)(ctx))
     return [Concept(_mask_to_set(e), _mask_to_set(i)) for e, i in ordered]
 
 
-def count_concepts(ctx: FormalContext, algorithm: str = "close-by-one") -> int:
-    """Number of concepts, by the same traversal; builds and sorts nothing."""
-    return sum(1 for _ in _pairs(ctx, algorithm))
+def count_concepts(ctx: FormalContext, algorithm: str = "intersection") -> int:
+    """Number of concepts, by the same traversal; builds and sorts nothing.
+
+    ``intersection`` counts its closed sets and derives no extents.
+    """
+    traversal = _traversal(algorithm)
+    if traversal is _intersection:
+        return len(_closed_sets(ctx)[0])
+    return sum(1 for _ in traversal(ctx))
 
 
 def contranomial(k: int) -> FormalContext:

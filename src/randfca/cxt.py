@@ -24,6 +24,13 @@ from .context import FormalContext
 from .errors import ParseError, SerializationError
 
 
+# str.translate tables between incidence characters and binary digits;
+# _NOT_A_CROSS deletes both legal characters, so only illegal ones remain.
+_CROSS_TO_BIT = str.maketrans("X.", "10")
+_BIT_TO_CROSS = str.maketrans("10", "X.")
+_NOT_A_CROSS = str.maketrans("", "", "X.")
+
+
 @dataclass(frozen=True)
 class CxtDocument:
     """A context plus the optional title text a file may carry."""
@@ -113,16 +120,14 @@ def read_cxt(data: str | bytes) -> CxtDocument:
                 f"incidence row has {len(line)} characters, expected {attribute_count}",
                 reader.line_number,
             )
-        mask = 0
-        for j, ch in enumerate(line):
-            if ch == "X":
-                mask |= 1 << j
-            elif ch != ".":
-                raise ParseError(
-                    f"illegal incidence character {ch!r} (only 'X' and '.' allowed)",
-                    reader.line_number,
-                )
-        rows.append(mask)
+        illegal = line.translate(_NOT_A_CROSS)
+        if illegal:
+            raise ParseError(
+                f"illegal incidence character {illegal[0]!r} (only 'X' and '.' allowed)",
+                reader.line_number,
+            )
+        # Attribute j is character j, and bit j counts from the right.
+        rows.append(int(line[::-1].translate(_CROSS_TO_BIT) or "0", 2))
     reader.expect_trailing_blank()
     context = FormalContext.from_bit_rows(objects, attributes, rows)
     return CxtDocument(context=context, title=title)
@@ -147,6 +152,14 @@ def write_cxt(doc: CxtDocument | FormalContext) -> str:
         "",
         *ctx.objects,
         *ctx.attributes,
-        *("".join("X" if v else "." for v in row) for row in ctx.incidence),
+        *cross_rows(ctx),
     ]
     return "\n".join(lines) + "\n"
+
+
+def cross_rows(ctx: FormalContext) -> list[str]:
+    """The incidence rows as text, 'X' for a cross and '.' for none."""
+    # A bit above the row's width keeps its leading zeros in the numeral;
+    # reversed, the numeral lists attribute 0 first and that bit last.
+    top = 1 << len(ctx.attributes)
+    return [f"{row | top:b}"[:0:-1].translate(_BIT_TO_CROSS) for row in ctx._rows]

@@ -21,8 +21,14 @@ def random_context(rng: random.Random, max_objects: int = 8, max_attributes: int
 
 
 @st.composite
-def contexts(draw, max_objects: int = 8, max_attributes: int = 8) -> FormalContext:
-    g = draw(st.integers(0, max_objects))
-    m = draw(st.integers(0, max_attributes))
+def contexts(
+    draw,
+    max_objects: int = 8,
+    max_attributes: int = 8,
+    min_objects: int = 0,
+    min_attributes: int = 0,
+) -> FormalContext:
+    g = draw(st.integers(min_objects, max_objects))
+    m = draw(st.integers(min_attributes, max_attributes))
     rows = [draw(st.integers(0, (1 << m) - 1)) for _ in range(g)]
     return build_context(g, m, rows)

@@ -390,7 +390,7 @@ class TestParams:
             (["verify", "--max-n", "2"], [("max_n", 2), ("grid", "default")]),
             (
                 ["concepts", "--in", "{cxt}"],
-                [("in", "{cxt}"), ("algo", "cbo"), ("count_only", False)],
+                [("in", "{cxt}"), ("algo", "intersection"), ("count_only", False)],
             ),
             (
                 ["concepts", "--in", "{cxt}", "--algo", "scan", "--count-only"],

@@ -159,11 +159,12 @@ class TestEnumeration:
         with pytest.raises(SizeError):
             count_concepts(empty_relation(21, 1), algorithm="scan")
 
-    def test_chain_deeper_than_the_recursion_limit(self):
+    @pytest.mark.parametrize("algorithm", ["intersection", "cbo"])
+    def test_chain_deeper_than_the_recursion_limit(self, algorithm):
         # Object i has attributes i..k-1, so the concepts form one chain of
         # length k; a recursive close-by-one would nest k calls deep.
         script = textwrap.dedent(
-            """
+            f"""
             import sys
             from randfca import FormalContext, count_concepts, enumerate_concepts
 
@@ -174,7 +175,7 @@ class TestEnumeration:
                 labels, labels, [full ^ ((1 << i) - 1) for i in range(k)]
             )
             sys.setrecursionlimit(100)
-            print(count_concepts(ctx), len(enumerate_concepts(ctx)))
+            print(count_concepts(ctx, {algorithm!r}), len(enumerate_concepts(ctx, {algorithm!r})))
             """
         )
         src = str(Path(randfca.__file__).resolve().parents[1])
@@ -192,8 +193,14 @@ class TestEnumeration:
             ctx = random_context(random.Random(trial))
             via_cbo = enumerate_concepts(ctx, algorithm="close-by-one")
             via_scan = enumerate_concepts(ctx, algorithm="closure-scan")
-            assert via_cbo == via_scan
-            assert count_concepts(ctx, "cbo") == count_concepts(ctx, "scan") == len(via_cbo)
+            via_intersection = enumerate_concepts(ctx, algorithm="intersection")
+            assert via_cbo == via_scan == via_intersection
+            assert (
+                count_concepts(ctx, "cbo")
+                == count_concepts(ctx, "scan")
+                == count_concepts(ctx, "intersection")
+                == len(via_cbo)
+            )
 
     def test_output_is_sorted_by_extent_bit_pattern(self):
         ctx = contranomial(3)
@@ -260,6 +267,35 @@ def test_derivation_is_antitone(ctx, data):
 @given(contexts(max_objects=6, max_attributes=6))
 def test_enumeration_algorithms_agree(ctx):
     assert enumerate_concepts(ctx, "close-by-one") == enumerate_concepts(ctx, "closure-scan")
+
+
+def _shaped_contexts(side: int) -> st.SearchStrategy[FormalContext]:
+    """Contexts of at most side x side with fewer, more or as many objects
+    as attributes, a third of the draws each: the intersection traversal
+    closes the rows of the first and last, the columns of the second."""
+    fewer = st.integers(0, side - 1).flatmap(lambda g: contexts(g, side, g, g + 1))
+    more = st.integers(0, side - 1).flatmap(lambda m: contexts(side, m, m + 1, m))
+    square = st.integers(0, side).flatmap(lambda k: contexts(k, k, k, k))
+    return st.one_of(fewer, more, square)
+
+
+@given(_shaped_contexts(6))
+@example(build_context(0, 3, []))
+@example(build_context(3, 0, [0, 0, 0]))
+@example(build_context(0, 0, []))
+def test_intersection_matches_closure_scan(ctx):
+    concepts = enumerate_concepts(ctx, "closure-scan")
+    assert enumerate_concepts(ctx, "intersection") == concepts
+    assert count_concepts(ctx, "intersection") == len(concepts)
+
+
+@given(_shaped_contexts(30))
+@example(build_context(0, 30, []))
+@example(build_context(30, 0, [0] * 30))
+def test_intersection_matches_close_by_one(ctx):
+    concepts = enumerate_concepts(ctx, "close-by-one")
+    assert enumerate_concepts(ctx, "intersection") == concepts
+    assert count_concepts(ctx, "intersection") == len(concepts)
 
 
 # Rows and a width m; the rows carry bits at and above m too.

@@ -71,6 +71,19 @@ class TestRead:
         assert err.value.line == 9
         assert "?" in str(err.value)
 
+    def test_illegal_character_after_a_valid_prefix(self):
+        with pytest.raises(ParseError) as err:
+            read_cxt("B\n\n2\n4\n\ng1\ng2\nm1\nm2\nm3\nm4\nX..X\nX.x?\n")
+        assert str(err.value) == (
+            "line 13: illegal incidence character 'x' (only 'X' and '.' allowed)"
+        )
+
+    def test_objects_without_attributes(self):
+        ctx = read_cxt("B\n\n2\n0\n\ng1\ng2\n\n\n").context
+        assert ctx.objects == ("g1", "g2")
+        assert ctx.attributes == ()
+        assert ctx.incidence == ((), ())
+
     def test_row_length_mismatch(self):
         with pytest.raises(ParseError) as err:
             read_cxt("B\n\n1\n2\n\ng\nm1\nm2\nX\n")
