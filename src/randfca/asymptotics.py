@@ -145,19 +145,20 @@ def threshold_holds(n: int) -> bool:
 
 
 def table_report(ns: Sequence[int]) -> list[AsymptoticRow]:
-    """One diagnostic row per n (each n >= 2)."""
-    rows = []
+    """One diagnostic row per n (each n >= 2, checked before any term is evaluated)."""
     for n in ns:
-        rows.append(
-            AsymptoticRow(
-                n=n,
-                split=split_indices(n),
-                log_term=log_split_term(n),
-                gap=relative_gap(n),
-                exceeds_threshold=threshold_holds(n),
-            )
+        if n < 2:
+            raise DomainError(f"relative gap requires n >= 2, got {n}")
+    return [
+        AsymptoticRow(
+            n=n,
+            split=split_indices(n),
+            log_term=log_split_term(n),
+            gap=relative_gap(n),
+            exceeds_threshold=threshold_holds(n),
         )
-    return rows
+        for n in ns
+    ]
 
 
 def round_half_up(x: float, places: int = 3) -> float:

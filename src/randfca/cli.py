@@ -21,6 +21,7 @@ from .context import Concept, FormalContext, count_concepts, enumerate_concepts
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError
 from .expectation import (
+    MAX_BRUTEFORCE_N,
     expected_concepts,
     expected_concepts_bruteforce,
     expected_concepts_exact,
@@ -309,6 +310,8 @@ def _cmd_asymptotic(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace, started: float) -> None:
+    if not 1 <= args.max_n <= MAX_BRUTEFORCE_N:
+        raise InputError(f"--max-n must be in 1..{MAX_BRUTEFORCE_N}, got {args.max_n}")
     grid = DEFAULT_VERIFY_GRID
     cases = 0
     max_error = 0.0

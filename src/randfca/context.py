@@ -11,6 +11,9 @@ Empty derivations follow the ambient-set convention: the common attributes
 of no objects are all attributes, and dually. This is what makes contexts
 with an empty side have exactly one concept.
 
+A context is built from its row-major incidence digits: the |G|*|M|
+characters '1' (incident) or '0', str or bytes, of the cross table read
+row by row, attribute 0 first; this module alone maps them to bits.
 Incidence is stored once, as integer bit rows (plus the bit columns
 derived from them), so derivation is a word-wise AND; the boolean matrix
 ``incidence`` is computed on demand. Three traversals are provided, and
@@ -66,7 +69,7 @@ class FormalContext:
     ) -> None:
         incidence = [tuple(row) for row in incidence]
         rows = [sum(1 << j for j, v in enumerate(row) if v) for row in incidence]
-        self._store(objects, attributes, rows)
+        self._store(objects, attributes, _bit_row_digits(rows, len(objects), len(attributes)))
         m = len(self.attributes)
         for i, row in enumerate(incidence):
             if len(row) != m:
@@ -75,28 +78,33 @@ class FormalContext:
                 )
 
     def _store(
-        self, objects: Sequence[str], attributes: Sequence[str], rows: Iterable[int]
+        self, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
     ) -> None:
+        """Build from row-major incidence digits; the only code mapping a digit to a bit."""
         objects = tuple(objects)
         attributes = tuple(attributes)
-        m = len(attributes)
-        full = (1 << m) - 1
-        rows = tuple([r & full for r in rows])
         if len(set(objects)) != len(objects):
             raise InputError("object labels must be pairwise distinct")
         if len(set(attributes)) != len(attributes):
             raise InputError("attribute labels must be pairwise distinct")
-        if len(rows) != len(objects):
-            raise InputError(f"incidence has {len(rows)} rows, expected {len(objects)}")
-        # Transpose as text: join the rows' m-digit numerals, last row first.
-        # Bit j of each row is then every m-th digit from place m - 1 - j,
-        # last row first, which is column j's numeral.
-        digits = "".join([f"{r:0{m}b}" for r in reversed(rows)])
+        g, m = len(objects), len(attributes)
+        # Reversed, the digits hold the last row first, each as its numeral.
+        # Column j is every m-th digit from place m - 1 - j: its numeral.
+        digits = digits[::-1]
+        rows = tuple([int(digits[k * m : k * m + m] or "0", 2) for k in reversed(range(g))])
         cols = tuple([int(digits[m - 1 - j :: m] or "0", 2) for j in range(m)])
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
+
+    @classmethod
+    def _from_digits(
+        cls, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
+    ) -> "FormalContext":
+        ctx = cls.__new__(cls)
+        ctx._store(objects, attributes, digits)
+        return ctx
 
     @classmethod
     def from_bit_rows(
@@ -106,9 +114,8 @@ class FormalContext:
 
         Bits at positions >= len(attributes) are ignored.
         """
-        ctx = cls.__new__(cls)
-        ctx._store(objects, attributes, rows)
-        return ctx
+        digits = _bit_row_digits(rows, len(objects), len(attributes))
+        return cls._from_digits(objects, attributes, digits)
 
     @property
     def incidence(self) -> tuple[tuple[bool, ...], ...]:
@@ -136,6 +143,15 @@ class FormalContext:
     def _extent_of(self, intent_mask: int) -> int:
         """Objects having every attribute in the mask (all if empty)."""
         return _meet(self._cols, intent_mask, (1 << len(self.objects)) - 1)
+
+
+def _bit_row_digits(rows: Sequence[int], g: int, m: int) -> str:
+    """The row-major incidence digits of g bit rows m wide, bits >= m ignored."""
+    if len(rows) != g:
+        raise InputError(f"incidence has {len(rows)} rows, expected {g}")
+    # The bit `top` keeps each numeral's leading zeros; [:0:-1] reverses and drops it.
+    top = 1 << m
+    return "".join([f"{r & (top - 1) | top:b}"[:0:-1] for r in rows])
 
 
 def _meet(words: tuple[int, ...], mask: int, result: int) -> int:
@@ -306,29 +322,22 @@ def contranomial(k: int) -> FormalContext:
     if k < 1:
         raise InputError(f"contranomial size must be >= 1, got {k}")
     labels = tuple(str(i) for i in range(1, k + 1))
-    full = (1 << k) - 1
-    return FormalContext.from_bit_rows(
-        labels, labels, [full ^ (1 << i) for i in range(k)]
-    )
+    return FormalContext(labels, labels, [[i != j for j in range(k)] for i in range(k)])
 
 
 def empty_relation(g: int, m: int) -> FormalContext:
     """A g x m context with no incident pairs."""
-    if g < 0 or m < 0:
-        raise InputError(f"sizes must be >= 0, got ({g}, {m})")
-    return FormalContext.from_bit_rows(
-        tuple(f"g{i}" for i in range(1, g + 1)),
-        tuple(f"m{j}" for j in range(1, m + 1)),
-        [0] * g,
-    )
+    return _constant_relation(g, m, "0")
 
 
 def full_relation(g: int, m: int) -> FormalContext:
     """A g x m context where every pair is incident."""
+    return _constant_relation(g, m, "1")
+
+
+def _constant_relation(g: int, m: int, digit: str) -> FormalContext:
     if g < 0 or m < 0:
         raise InputError(f"sizes must be >= 0, got ({g}, {m})")
-    return FormalContext.from_bit_rows(
-        tuple(f"g{i}" for i in range(1, g + 1)),
-        tuple(f"m{j}" for j in range(1, m + 1)),
-        [(1 << m) - 1] * g,
-    )
+    objects = tuple(f"g{i}" for i in range(1, g + 1))
+    attributes = tuple(f"m{j}" for j in range(1, m + 1))
+    return FormalContext._from_digits(objects, attributes, digit * (g * m))

@@ -14,13 +14,15 @@ skipped):
     next |G|    incidence rows: exactly |M| characters, 'X' or '.'
 
 Writing emits LF endings, and a blank line 2 unless the document carries a title.
+The incidence rows, in order, are the context's row-major incidence digits
+with 'X' for '1' and '.' for '0'; the context module maps them to bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import FormalContext
+from .context import FormalContext, _bit_row_digits
 from .errors import ParseError, SerializationError
 
 
@@ -126,10 +128,10 @@ def read_cxt(data: str | bytes) -> CxtDocument:
                 f"illegal incidence character {illegal[0]!r} (only 'X' and '.' allowed)",
                 reader.line_number,
             )
-        # Attribute j is character j, and bit j counts from the right.
-        rows.append(int(line[::-1].translate(_CROSS_TO_BIT) or "0", 2))
+        rows.append(line)
     reader.expect_trailing_blank()
-    context = FormalContext.from_bit_rows(objects, attributes, rows)
+    digits = "".join(rows).translate(_CROSS_TO_BIT)
+    context = FormalContext._from_digits(objects, attributes, digits)
     return CxtDocument(context=context, title=title)
 
 
@@ -159,7 +161,6 @@ def write_cxt(doc: CxtDocument | FormalContext) -> str:
 
 def cross_rows(ctx: FormalContext) -> list[str]:
     """The incidence rows as text, 'X' for a cross and '.' for none."""
-    # A bit above the row's width keeps its leading zeros in the numeral;
-    # reversed, the numeral lists attribute 0 first and that bit last.
-    top = 1 << len(ctx.attributes)
-    return [f"{row | top:b}"[:0:-1].translate(_BIT_TO_CROSS) for row in ctx._rows]
+    m = len(ctx.attributes)
+    crosses = _bit_row_digits(ctx._rows, ctx.object_count, m).translate(_BIT_TO_CROSS)
+    return [crosses[i * m : i * m + m] for i in range(ctx.object_count)]

@@ -24,12 +24,14 @@ The sampler computes the words up to _LANES at a time, one per 128-bit lane
 of a Python integer, so each step of mix64 is one big-integer operation
 for all of them. That changes how the words are computed, not which:
 the stream, its order and the Bernoulli rule are as stated above, and
-where a chunk of lanes ends never changes a draw.
+where a chunk of lanes ends never changes a draw. The incidence digits,
+in draw order, are handed to the context as its row-major digits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -163,19 +165,9 @@ def sample_context(params: ModelParams, seed: SeedLike) -> FormalContext:
     sides = b"".join(_bernoulli_digits(master, 0, n, params.p)).decode()
     objects = tuple([str(i) for i, side in enumerate(sides, 1) if side == "1"])
     attributes = tuple([str(i) for i, side in enumerate(sides, 1) if side == "0"])
-    m = len(attributes)
-    if not m:
-        return FormalContext.from_bit_rows(objects, attributes, [0] * len(objects))
-    # Row-major: the words of row i are drawn before those of row i + 1, and
-    # a row may straddle chunks, so its leading digits wait in `pending`.
-    rows = []
-    pending = b""
-    for digits in _bernoulli_digits(master, n, len(objects) * m, params.q):
-        pending += digits
-        end = len(pending) - len(pending) % m
-        rows += [int(pending[i : i + m][::-1], 2) for i in range(0, end, m)]
-        pending = pending[end:]
-    return FormalContext.from_bit_rows(objects, attributes, rows)
+    # The incidence words follow, one per pair in row-major order.
+    chunks = _bernoulli_digits(master, n, len(objects) * len(attributes), params.q)
+    return FormalContext._from_digits(objects, attributes, b"".join(chunks))
 
 
 def _check_universe_labels(ctx: FormalContext, n: int) -> None:
@@ -230,17 +222,12 @@ def enumerate_sample_space(n: int) -> Iterator[FormalContext]:
         raise SizeError(
             f"sample space enumeration supports n <= {MAX_SAMPLE_SPACE_N}, got {n}"
         )
-    universe = [str(i) for i in range(1, n + 1)]
 
     def generate() -> Iterator[FormalContext]:
-        for side in range(1 << n):
-            objects = tuple(universe[i] for i in range(n) if side >> i & 1)
-            attributes = tuple(universe[i] for i in range(n) if not side >> i & 1)
-            g = len(objects)
-            m = len(attributes)
-            row_mask = (1 << m) - 1
-            for inc in range(1 << (g * m)):
-                rows = [inc >> (i * m) & row_mask for i in range(g)]
-                yield FormalContext.from_bit_rows(objects, attributes, rows)
+        for sides in itertools.product("10", repeat=n):
+            objects = tuple([str(i) for i, side in enumerate(sides, 1) if side == "1"])
+            attributes = tuple([str(i) for i, side in enumerate(sides, 1) if side == "0"])
+            for digits in itertools.product("10", repeat=len(objects) * len(attributes)):
+                yield FormalContext._from_digits(objects, attributes, "".join(digits))
 
     return generate()

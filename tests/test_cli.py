@@ -111,6 +111,18 @@ class TestAsymptotic:
         (row,) = run_json(capsys, "asymptotic", "--ns", "10^12", "--json")["payload"]["rows"]
         assert row["n"] == 10**12
 
+    @pytest.mark.parametrize("warnings", [[], ["-W", "error"]])
+    def test_n1_is_refused_before_any_term_warns(self, warnings):
+        env = dict(os.environ, PYTHONPATH=str(Path(randfca.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, *warnings, "-m", "randfca", "asymptotic", "--ns", "10,1"],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == b"error: relative gap requires n >= 2, got 1\n"
+
 
 class TestGenAndConcepts:
     def test_pipeline_is_deterministic(self, capsys, tmp_path, monkeypatch):
@@ -352,6 +364,16 @@ class TestVerify:
         jsonschema.validate(envelope, schema)
         assert envelope["payload"]["ok"] is True
         assert envelope["params"]["grid"] == envelope["payload"]["grid"] == "default"
+
+    @pytest.mark.parametrize("max_n", ["0", "-3", "6"])
+    def test_max_n_out_of_range_is_refused_before_any_case(self, capsys, monkeypatch, max_n):
+        def boom(params):
+            raise RuntimeError("a brute-force case ran")
+
+        monkeypatch.setattr("randfca.cli.expected_concepts_bruteforce", boom)
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert (code, out) == (1, "")
+        assert err == f"error: --max-n must be in 1..5, got {max_n}\n"
 
     def test_grid_option_is_gone(self, capsys):
         code, out, err = run(capsys, "verify", "--grid", "default")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import randfca
 from randfca import (
     Concept,
+    CxtDocument,
     FormalContext,
     InputError,
     SizeError,
@@ -22,6 +23,8 @@ from randfca import (
     enumerate_concepts,
     full_relation,
     is_concept,
+    read_cxt,
+    write_cxt,
 )
 
 from conftest import build_context, contexts, random_context
@@ -315,8 +318,10 @@ def test_columns_are_the_transpose_of_the_rows(rows_and_width):
     kept = tuple(r & ((1 << m) - 1) for r in rows)
     cols = tuple(sum(1 << i for i, r in enumerate(kept) if r >> j & 1) for j in range(m))
     table = [[bool(r >> j & 1) for j in range(m)] for r in kept]
+    from_bits = FormalContext.from_bit_rows(objects, attributes, rows)
     for ctx in (
-        FormalContext.from_bit_rows(objects, attributes, rows),
+        from_bits,
         FormalContext(objects, attributes, table),
+        read_cxt(write_cxt(CxtDocument(from_bits))).context,
     ):
         assert (ctx._rows, ctx._cols) == (kept, cols)
