@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
-from .context import Concept, FormalContext, count_concepts, enumerate_concepts
+from .context import Concept, FormalContext, _members, count_concepts, enumerate_concepts
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError
 from .expectation import (
@@ -89,15 +89,15 @@ def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
     objects = ["          " + json.dumps(label) for label in ctx.objects]
     attributes = ["          " + json.dumps(label) for label in ctx.attributes]
 
-    def side(lines: list[str], indices: frozenset[int]) -> str:
-        if not indices:
+    def side(lines: list[str], mask: int) -> str:
+        if not mask:
             return "[]"
-        return "[\n" + ",\n".join([lines[i] for i in sorted(indices)]) + "\n        ]"
+        return "[\n" + ",\n".join(_members(lines, mask)) + "\n        ]"
 
     # Never empty: every context has at least the concept closing the empty set.
     blocks = [
-        f'      {{\n        "extent": {side(objects, c.extent)},'
-        f'\n        "intent": {side(attributes, c.intent)}\n      }}'
+        f'      {{\n        "extent": {side(objects, c._extent)},'
+        f'\n        "intent": {side(attributes, c._intent)}\n      }}'
         for c in concepts
     ]
     return "[\n" + ",\n".join(blocks) + "\n    ]"
@@ -150,17 +150,16 @@ def _write_output(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _label_set(labels: Sequence[str], indices: frozenset[int]) -> str:
-    return "{" + ", ".join(labels[i] for i in sorted(indices)) + "}"
+def _label_set(labels: Sequence[str], mask: int) -> str:
+    return "{" + ", ".join(_members(labels, mask)) + "}"
 
 
 def _cmd_gen(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
     sampled = sample_context(params, Seed(args.seed))
-    ctx = FormalContext.from_bit_rows(
+    ctx = sampled._relabelled(
         tuple(f"g{i}" for i in range(1, sampled.object_count + 1)),
         tuple(f"m{j}" for j in range(1, sampled.attribute_count + 1)),
-        sampled._rows,
     )
     if args.format == "cxt":
         text = write_cxt(CxtDocument(ctx))
@@ -192,8 +191,8 @@ def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
         return
     print(f"concepts: {len(concepts)}")
     for concept in concepts:
-        extent = _label_set(ctx.objects, concept.extent)
-        intent = _label_set(ctx.attributes, concept.intent)
+        extent = _label_set(ctx.objects, concept._extent)
+        intent = _label_set(ctx.attributes, concept._intent)
         print(f"  {extent} / {intent}")
 
 

@@ -16,8 +16,9 @@ characters '1' (incident) or '0', str or bytes, of the cross table read
 row by row, attribute 0 first; this module alone maps them to bits.
 Incidence is stored once, as integer bit rows (plus the bit columns
 derived from them), so derivation is a word-wise AND; the boolean matrix
-``incidence`` is computed on demand. Three traversals are provided, and
-both listing and counting run through each:
+``incidence`` is computed on demand. A concept likewise holds its two
+sides as bit masks, and builds their index sets on demand. Three
+traversals are provided, and both listing and counting run through each:
 
 * ``intersection``: the intents are the full attribute set and every
   intersection of object rows (Norris 1978), so closing the rows under
@@ -38,12 +39,16 @@ threads; enumeration itself is single-threaded.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress, count
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, SizeError
 
 MAX_SCAN_OBJECTS = 20
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, init=False)
@@ -81,22 +86,35 @@ class FormalContext:
         self, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
     ) -> None:
         """Build from row-major incidence digits; the only code mapping a digit to a bit."""
+        self._label(objects, attributes)
+        g, m = len(self.objects), len(self.attributes)
+        # Reversed, the digits hold the last row first, each as its numeral.
+        # Column j is every m-th digit from place m - 1 - j: its numeral.
+        digits = digits[::-1]
+        rows = tuple([int(digits[k * m : k * m + m] or "0", 2) for k in reversed(range(g))])
+        cols = tuple([int(digits[m - 1 - j :: m] or "0", 2) for j in range(m)])
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cols", cols)
+
+    def _label(self, objects: Sequence[str], attributes: Sequence[str]) -> None:
         objects = tuple(objects)
         attributes = tuple(attributes)
         if len(set(objects)) != len(objects):
             raise InputError("object labels must be pairwise distinct")
         if len(set(attributes)) != len(attributes):
             raise InputError("attribute labels must be pairwise distinct")
-        g, m = len(objects), len(attributes)
-        # Reversed, the digits hold the last row first, each as its numeral.
-        # Column j is every m-th digit from place m - 1 - j: its numeral.
-        digits = digits[::-1]
-        rows = tuple([int(digits[k * m : k * m + m] or "0", 2) for k in reversed(range(g))])
-        cols = tuple([int(digits[m - 1 - j :: m] or "0", 2) for j in range(m)])
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
+
+    def _relabelled(self, objects: Sequence[str], attributes: Sequence[str]) -> "FormalContext":
+        """The same incidence under other labels, as many of each as before."""
+        ctx = FormalContext.__new__(FormalContext)
+        ctx._label(objects, attributes)
+        if (ctx.object_count, ctx.attribute_count) != (self.object_count, self.attribute_count):
+            raise InputError("relabelling must keep the object and attribute counts")
+        object.__setattr__(ctx, "_rows", self._rows)
+        object.__setattr__(ctx, "_cols", self._cols)
+        return ctx
 
     @classmethod
     def _from_digits(
@@ -163,26 +181,74 @@ def _meet(words: tuple[int, ...], mask: int, result: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Concept:
-    """An (extent, intent) pair of index sets, fixed by both derivations."""
+    """An (extent, intent) pair of index sets, fixed by both derivations.
 
-    extent: frozenset[int]
-    intent: frozenset[int]
+    Each side is stored as a bit mask (bit i set iff index i is in it), so
+    a listing holds two ints per concept; its frozenset is built on access.
+    Equality and hashing are over the masks.
+    """
+
+    _extent: int
+    _intent: int
+
+    def __init__(self, extent: Iterable[int], intent: Iterable[int]) -> None:
+        object.__setattr__(self, "_extent", _indices_to_mask(extent, None, "extent"))
+        object.__setattr__(self, "_intent", _indices_to_mask(intent, None, "intent"))
+
+    @classmethod
+    def _from_masks(cls, pairs: Iterable[tuple[int, int]]) -> list["Concept"]:
+        """One concept per (extent, intent) mask pair, taken as they are."""
+        new, set_ = cls.__new__, object.__setattr__
+        concepts = []
+        for extent, intent in pairs:
+            concept = new(cls)
+            set_(concept, "_extent", extent)
+            set_(concept, "_intent", intent)
+            concepts.append(concept)
+        return concepts
+
+    @property
+    def extent(self) -> frozenset[int]:
+        return _mask_to_set(self._extent)
+
+    @property
+    def intent(self) -> frozenset[int]:
+        return _mask_to_set(self._intent)
+
+    def __repr__(self) -> str:
+        return f"Concept(extent={self.extent!r}, intent={self.intent!r})"
 
 
-def _indices_to_mask(indices: Iterable[int], size: int, kind: str) -> int:
+def _indices_to_mask(indices: Iterable[int], size: int | None, kind: str) -> int:
+    """The bit mask of the indices, each an int in [0, size), or >= 0 when
+    size is None."""
     mask = 0
     for i in indices:
-        if not 0 <= i < size:
-            raise InputError(f"{kind} index {i} out of range [0, {size})")
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise InputError(f"{kind} index {i!r} is not an integer") from None
+        if i < 0 or size is not None and i >= size:
+            bound = "inf" if size is None else size
+            raise InputError(f"{kind} index {i} out of range [0, {bound})")
         mask |= 1 << i
     return mask
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
+# Maps each binary digit to a byte that itertools.compress reads as false or true.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(items: Iterable[_T], mask: int) -> Iterator[_T]:
+    """The items whose index has its bit set in the mask, in index order."""
     # bin(mask)[:1:-1] is the binary digits of mask, least significant first
-    return frozenset(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(_members(count(), mask))
 
 
 def derive_objects(ctx: FormalContext, objects: Iterable[int]) -> frozenset[int]:
@@ -299,8 +365,7 @@ def enumerate_concepts(
     an integer (object 0 = least significant bit), so repeated runs and
     all algorithms produce identical lists.
     """
-    ordered = sorted(_traversal(algorithm)(ctx))
-    return [Concept(_mask_to_set(e), _mask_to_set(i)) for e, i in ordered]
+    return Concept._from_masks(sorted(_traversal(algorithm)(ctx)))
 
 
 def count_concepts(ctx: FormalContext, algorithm: str = "intersection") -> int:

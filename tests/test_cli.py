@@ -276,6 +276,17 @@ def _reference_listing(ctx: FormalContext, algo: str, path: str) -> str:
     return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
 
 
+def _reference_text(ctx: FormalContext, algo: str) -> str:
+    """`concepts` text-mode stdout, from each concept's sorted index sets."""
+    concepts = enumerate_concepts(ctx, algorithm=algo)
+    lines = [f"concepts: {len(concepts)}"]
+    for c in concepts:
+        extent = ", ".join(ctx.objects[i] for i in sorted(c.extent))
+        intent = ", ".join(ctx.attributes[j] for j in sorted(c.intent))
+        lines.append(f"  {{{extent}}} / {{{intent}}}")
+    return "\n".join(lines) + "\n"
+
+
 class TestConceptListing:
     @pytest.fixture(scope="class")
     def cxt_path(self, tmp_path_factory):
@@ -299,6 +310,24 @@ class TestConceptListing:
         assert code == 0
         text = re.sub(r'"wall_time_ms": \d+\n\}\n\Z', '"wall_time_ms": 0\n}\n', out.getvalue())
         assert text == _reference_listing(ctx, algo, str(cxt_path))
+
+    @pytest.mark.parametrize("algo", ["intersection", "cbo", "scan"])
+    @given(
+        objects=st.lists(_LABEL, max_size=4, unique=True),
+        attributes=st.lists(_LABEL, max_size=4, unique=True),
+        bits=st.lists(st.integers(0, 15), min_size=4, max_size=4),
+    )
+    @example(objects=[], attributes=["", '"\\', "\u00e9\U0001d538"], bits=[0, 0, 0, 0])
+    @example(objects=["\U0001f600", "\x00", ", "], attributes=[], bits=[0, 0, 0, 0])
+    @example(objects=["b", "a", "c"], attributes=["y", "x", "{"], bits=[5, 2, 0, 0])
+    def test_text_listing_matches_the_sorted_index_sets(self, cxt_path, algo, objects, attributes, bits):
+        ctx = FormalContext.from_bit_rows(objects, attributes, bits[: len(objects)])
+        cxt_path.write_bytes(write_cxt(CxtDocument(ctx)).encode("utf-8"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["concepts", "--in", str(cxt_path), "--algo", algo])
+        assert code == 0
+        assert out.getvalue() == _reference_text(ctx, algo)
 
     def test_enumerate_and_count_are_called_through_the_cli_names(self, capsys, tmp_path, monkeypatch):
         # perfbench/tracing.py times listing by wrapping the name

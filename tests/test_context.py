@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import subprocess
 import sys
@@ -67,6 +69,21 @@ class TestConstruction:
         with pytest.raises(InputError):
             FormalContext.from_bit_rows(("a", "b"), ("x",), [1])
 
+    def test_relabelled_keeps_the_incidence(self):
+        ctx = build_context(3, 2, [0b01, 0b10, 0b11])
+        renamed = ctx._relabelled(("a", "b", "c"), ("x", "y"))
+        assert renamed == FormalContext.from_bit_rows(("a", "b", "c"), ("x", "y"), ctx._rows)
+        assert renamed._cols == ctx._cols
+        assert ctx.objects == ("g1", "g2", "g3")
+
+    @pytest.mark.parametrize(
+        "objects, attributes",
+        [(("a", "b"), ("x", "y")), (("a", "b", "c"), ("x",)), (("a", "a", "c"), ("x", "y"))],
+    )
+    def test_relabelled_checks_the_labels(self, objects, attributes):
+        with pytest.raises(InputError):
+            build_context(3, 2, [0b01, 0b10, 0b11])._relabelled(objects, attributes)
+
 
 class TestDerivations:
     def test_contranomial_row_readoff(self):
@@ -100,6 +117,14 @@ class TestDerivations:
         with pytest.raises(InputError):
             derive_attributes(ctx, {-1})
 
+    @pytest.mark.parametrize("index", [0.5, "0", None])
+    def test_non_integer_index_rejected(self, index):
+        ctx = contranomial(2)
+        with pytest.raises(InputError):
+            derive_objects(ctx, [index])
+        with pytest.raises(InputError):
+            is_concept(ctx, [0], [index])
+
 
 class TestIsConcept:
     def test_full_relation_top(self):
@@ -114,6 +139,45 @@ class TestIsConcept:
         # deriving the empty object set gives all attributes, not none
         ctx = empty_relation(2, 2)
         assert not is_concept(ctx, set(), set())
+
+
+class TestConcept:
+    @given(ctx=contexts(max_objects=5, max_attributes=5))
+    def test_built_from_any_index_collection_equals_the_enumerated_one(self, ctx):
+        for concept in enumerate_concepts(ctx):
+            extent, intent = concept.extent, concept.intent
+            assert isinstance(extent, frozenset) and isinstance(intent, frozenset)
+            for built in (
+                Concept(sorted(extent, reverse=True), sorted(intent)),
+                Concept(set(extent), set(intent)),
+                Concept((i for i in extent), (j for j in intent)),
+            ):
+                assert built == concept
+                assert hash(built) == hash(concept)
+                assert (built.extent, built.intent) == (extent, intent)
+
+    def test_is_immutable(self):
+        concept = Concept({0}, {1})
+        for name in ("extent", "intent", "_extent", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(concept, name, frozenset())
+        assert concept == Concept({0}, {1})
+
+    def test_repr_shows_the_index_sets(self):
+        assert repr(Concept([2, 0], [])) == "Concept(extent=frozenset({0, 2}), intent=frozenset())"
+
+    def test_survives_a_pickle_round_trip(self):
+        for concept in enumerate_concepts(contranomial(3)):
+            copy = pickle.loads(pickle.dumps(concept))
+            assert copy == concept and hash(copy) == hash(concept)
+            assert (copy.extent, copy.intent) == (concept.extent, concept.intent)
+
+    @pytest.mark.parametrize("index", [-1, 0.5, 1.0, "1", None])
+    def test_negative_or_non_integer_index_rejected(self, index):
+        with pytest.raises(InputError):
+            Concept([0, index], [])
+        with pytest.raises(InputError):
+            Concept([], [index])
 
 
 class TestEnumeration:
