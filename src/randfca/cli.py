@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
-from .context import Concept, FormalContext, _members, count_concepts, enumerate_concepts
+from .context import Concept, FormalContext, count_concepts, enumerate_concepts
+from .context import _default_labels, _members
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError
 from .expectation import (
@@ -157,10 +158,7 @@ def _label_set(labels: Sequence[str], mask: int) -> str:
 def _cmd_gen(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
     sampled = sample_context(params, Seed(args.seed))
-    ctx = sampled._relabelled(
-        tuple(f"g{i}" for i in range(1, sampled.object_count + 1)),
-        tuple(f"m{j}" for j in range(1, sampled.attribute_count + 1)),
-    )
+    ctx = sampled._relabelled(*_default_labels(sampled.object_count, sampled.attribute_count))
     if args.format == "cxt":
         text = write_cxt(CxtDocument(ctx))
     else:
@@ -322,12 +320,9 @@ def _cmd_verify(args: argparse.Namespace, started: float) -> None:
                 params = ModelParams(n, p, q)
                 formula = expected_concepts(params).value
                 oracle = expected_concepts_bruteforce(params)
-                difference = abs(formula - oracle)
-                if oracle > 1.0:
-                    ok = difference / oracle <= VERIFY_REL_TOL
-                else:
-                    ok = difference <= VERIFY_ABS_TOL
-                normalized = difference / max(abs(oracle), 1.0)
+                # Relative error above an oracle of 1, absolute error at or below it.
+                normalized = abs(formula - oracle) / max(abs(oracle), 1.0)
+                ok = normalized <= (VERIFY_REL_TOL if oracle > 1.0 else VERIFY_ABS_TOL)
                 cases += 1
                 all_ok = all_ok and ok
                 if normalized >= max_error:

@@ -403,6 +403,9 @@ def full_relation(g: int, m: int) -> FormalContext:
 def _constant_relation(g: int, m: int, digit: str) -> FormalContext:
     if g < 0 or m < 0:
         raise InputError(f"sizes must be >= 0, got ({g}, {m})")
-    objects = tuple(f"g{i}" for i in range(1, g + 1))
-    attributes = tuple(f"m{j}" for j in range(1, m + 1))
-    return FormalContext._from_digits(objects, attributes, digit * (g * m))
+    return FormalContext._from_digits(*_default_labels(g, m), digit * (g * m))
+
+
+def _default_labels(g: int, m: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The labels g1..g<g> for objects and m1..m<m> for attributes."""
+    return tuple(f"g{i}" for i in range(1, g + 1)), tuple(f"m{j}" for j in range(1, m + 1))

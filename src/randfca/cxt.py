@@ -1,13 +1,13 @@
 """Plain-text cross-table context files (.cxt).
 
-The format, one field per line (CRLF and lone-CR endings, from a file or
-from stdin alike, are read as LF, and one leading UTF-8 byte-order mark is
-skipped):
+The format, one field per line. Every source (str or bytes, a file or
+stdin) is read alike: CRLF and lone-CR endings as LF, and one leading
+byte-order mark skipped.
 
     line 1      the magic character "B"
     line 2      blank (a context name is tolerated here when reading)
-    line 3      object count, decimal
-    line 4      attribute count, decimal
+    line 3      object count, ASCII decimal digits only (no sign, space or '_')
+    line 4      attribute count, likewise
     line 5      blank
     next |G|    object labels, one per line
     next |M|    attribute labels, one per line
@@ -70,24 +70,21 @@ class _LineReader:
 
 def _take_count(reader: _LineReader, what: str) -> int:
     line = reader.take(what)
-    try:
-        value = int(line)
-    except ValueError:
-        raise ParseError(f"expected {what} as a decimal integer, got {line!r}", reader.line_number) from None
-    if value < 0:
-        raise ParseError(f"{what} must be >= 0, got {value}", reader.line_number)
-    return value
+    if line.isascii() and line.isdigit():
+        try:
+            return int(line)
+        except ValueError:  # past int()'s limit on the digits of a decimal string
+            pass
+    raise ParseError(f"expected {what} as a decimal integer, got {line!r}", reader.line_number)
 
 
 def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
-    labels: list[str] = []
-    seen: set[str] = set()
+    labels: dict[str, None] = {}
     for _ in range(count):
         label = reader.take(f"{kind} label")
-        if label in seen:
+        if label in labels:
             raise ParseError(f"duplicate {kind} label {label!r}", reader.line_number)
-        seen.add(label)
-        labels.append(label)
+        labels[label] = None
     return tuple(labels)
 
 
@@ -97,11 +94,10 @@ def read_cxt(data: str | bytes) -> CxtDocument:
     with a line number."""
     if isinstance(data, (bytes, bytearray)):
         try:
-            data = data.decode("utf-8-sig")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from None
-    else:
-        data = data.removeprefix("\ufeff")
+    data = data.removeprefix("\ufeff")
     reader = _LineReader(data.replace("\r\n", "\n").replace("\r", "\n"))
     magic = reader.take("magic line 'B'")
     if magic != "B":

@@ -194,6 +194,14 @@ class TestGenAndConcepts:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("count", ["1_0", pytest.param("1" * 5000, id="5000-digits")])
+    def test_count_that_is_not_ascii_digits_exits_one_at_its_line(self, capsys, tmp_path, count):
+        path = tmp_path / "bad.cxt"
+        path.write_text(f"B\n\n{count}\n1\n\ng\nm\nX\n")
+        code, out, err = run(capsys, "concepts", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: expected object count as a decimal integer")
+
     def test_non_utf8_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.cxt"
         path.write_bytes(b"B\n\n1\n1\n\ng\xff\nm\nX\n")
@@ -403,6 +411,28 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-n", max_n)
         assert (code, out) == (1, "")
         assert err == f"error: --max-n must be in 1..5, got {max_n}\n"
+
+    # At n = 1 every oracle is exactly 1; lowered, it stays in the absolute
+    # bound's range (1e-12). At n = 2 the oracles above 1 are scaled, and the
+    # relative bound (1e-10) judges them.
+    @pytest.mark.parametrize(
+        "max_n, shift, code",
+        [
+            ("1", lambda e: e - 5e-13, 0),
+            ("1", lambda e: e - 2e-12, 2),
+            ("2", lambda e: e * (1 + 5e-11) if e > 1 else e, 0),
+            ("2", lambda e: e * (1 + 2e-10) if e > 1 else e, 2),
+        ],
+    )
+    def test_each_tolerance_decides_agreement(self, capsys, monkeypatch, max_n, shift, code):
+        bruteforce = randfca.cli.expected_concepts_bruteforce
+        monkeypatch.setattr("randfca.cli.expected_concepts_bruteforce", lambda p: shift(bruteforce(p)))
+        got, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert got == code
+        if code == 0:
+            assert out.endswith("OK\n")
+        else:
+            assert (out, err.startswith("internal error: formula disagrees with brute force")) == ("", True)
 
     def test_grid_option_is_gone(self, capsys):
         code, out, err = run(capsys, "verify", "--grid", "default")

@@ -51,6 +51,11 @@ class TestRead:
             read_cxt("\ufeff\ufeff" + IDENTITY_2X2)
         assert err.value.line == 1
 
+    def test_invalid_utf8_after_a_byte_order_mark_names_its_offset_in_the_file(self):
+        with pytest.raises(ParseError) as err:
+            read_cxt(b"\xef\xbb\xbf\xff")
+        assert "byte 0xff in position 3" in str(err.value)
+
     def test_title_line_is_kept(self):
         doc = read_cxt("B\nmy table\n1\n1\n\ng\nm\nX\n")
         assert doc.title == "my table"
@@ -60,10 +65,19 @@ class TestRead:
             read_cxt("A\n\n1\n1\n\ng\nm\nX\n")
         assert err.value.line == 1
 
-    def test_bad_count(self):
+    # A count is ASCII decimal digits only; 5000 digits pass int()'s string limit.
+    @pytest.mark.parametrize(
+        "count",
+        [
+            "two", "+2", " 2", "2 ", "1_0", "\u0662", "-0", "-1", "",
+            pytest.param("1" * 5000, id="5000-digits"),
+        ],
+    )
+    def test_bad_count(self, count):
         with pytest.raises(ParseError) as err:
-            read_cxt("B\n\ntwo\n1\n\ng\nm\nX\n")
+            read_cxt(f"B\n\n{count}\n1\n\ng\nm\nX\n")
         assert err.value.line == 3
+        assert "object count as a decimal integer" in str(err.value)
 
     def test_illegal_row_character(self):
         with pytest.raises(ParseError) as err:
