@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .errors import DomainError, InputError, InternalError, SizeError
+from .errors import DomainError, InputError, SizeError
 
 _LN2 = math.log(2.0)
 # Beyond this, cancellation among the log-gamma terms of log_split_term
@@ -62,15 +62,14 @@ def split_indices(n: int) -> SplitIndices:
     """The distinguished composition for a given n.
 
     a = floor(log2 n) via bit length (exact, unlike floating log);
-    b - a = n mod 2; c = d = floor(n/2) - a.
+    b - a = n mod 2; c = d = floor(n/2) - a, never negative, since
+    floor(n/2) >= 2**(a-1) >= a.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     a = n.bit_length() - 1
     b = a + (n & 1)
     c = (n >> 1) - a
-    if c < 0:
-        raise InternalError(f"negative split part for n = {n}; this cannot happen")
     return SplitIndices(a, b, c, c)
 
 

@@ -37,9 +37,8 @@ DEFAULT_VERIFY_MAX_N = 4
 # 10^1000000000 is refused before the power is built.
 _MAX_NS_BITS = 64
 
-# Per-case agreement bounds between formula and brute force.
-VERIFY_REL_TOL = 1e-10
-VERIFY_ABS_TOL = 1e-12
+# Per-case agreement bound on |formula - oracle| / max(|oracle|, 1).
+VERIFY_TOL = 1e-12
 
 # Stands in for the concept listing while the `concepts --json` envelope is
 # encoded; no argv string can hold NUL.
@@ -320,9 +319,8 @@ def _cmd_verify(args: argparse.Namespace, started: float) -> None:
                 params = ModelParams(n, p, q)
                 formula = expected_concepts(params).value
                 oracle = expected_concepts_bruteforce(params)
-                # Relative error above an oracle of 1, absolute error at or below it.
                 normalized = abs(formula - oracle) / max(abs(oracle), 1.0)
-                ok = normalized <= (VERIFY_REL_TOL if oracle > 1.0 else VERIFY_ABS_TOL)
+                ok = normalized <= VERIFY_TOL
                 cases += 1
                 all_ok = all_ok and ok
                 if normalized >= max_error:

@@ -32,6 +32,9 @@ _CROSS_TO_BIT = str.maketrans("X.", "10")
 _BIT_TO_CROSS = str.maketrans("10", "X.")
 _NOT_A_CROSS = str.maketrans("", "", "X.")
 
+# Error messages quote an input line in full up to this many characters.
+_QUOTE_LIMIT = 40
+
 
 @dataclass(frozen=True)
 class CxtDocument:
@@ -68,6 +71,14 @@ class _LineReader:
             self._next += 1
 
 
+def _quote(line: str) -> str:
+    """repr of an input line for an error message; a long line is cut to
+    its first _QUOTE_LIMIT characters, followed by its length."""
+    if len(line) <= _QUOTE_LIMIT:
+        return repr(line)
+    return f"{line[:_QUOTE_LIMIT]!r}... ({len(line)} characters)"
+
+
 def _take_count(reader: _LineReader, what: str) -> int:
     line = reader.take(what)
     if line.isascii() and line.isdigit():
@@ -75,7 +86,7 @@ def _take_count(reader: _LineReader, what: str) -> int:
             return int(line)
         except ValueError:  # past int()'s limit on the digits of a decimal string
             pass
-    raise ParseError(f"expected {what} as a decimal integer, got {line!r}", reader.line_number)
+    raise ParseError(f"expected {what} as a decimal integer, got {_quote(line)}", reader.line_number)
 
 
 def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
@@ -83,7 +94,7 @@ def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
     for _ in range(count):
         label = reader.take(f"{kind} label")
         if label in labels:
-            raise ParseError(f"duplicate {kind} label {label!r}", reader.line_number)
+            raise ParseError(f"duplicate {kind} label {_quote(label)}", reader.line_number)
         labels[label] = None
     return tuple(labels)
 
@@ -101,13 +112,13 @@ def read_cxt(data: str | bytes) -> CxtDocument:
     reader = _LineReader(data.replace("\r\n", "\n").replace("\r", "\n"))
     magic = reader.take("magic line 'B'")
     if magic != "B":
-        raise ParseError(f"expected magic line 'B', got {magic!r}", 1)
+        raise ParseError(f"expected magic line 'B', got {_quote(magic)}", 1)
     title = reader.take("title line") or None
     object_count = _take_count(reader, "object count")
     attribute_count = _take_count(reader, "attribute count")
     blank = reader.take("blank separator line")
     if blank != "":
-        raise ParseError(f"expected a blank line, got {blank!r}", reader.line_number)
+        raise ParseError(f"expected a blank line, got {_quote(blank)}", reader.line_number)
     objects = _take_labels(reader, object_count, "object")
     attributes = _take_labels(reader, attribute_count, "attribute")
     rows = []

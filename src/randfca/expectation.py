@@ -97,7 +97,8 @@ def composition_iter(n: int) -> Iterator[Composition4]:
 def log_term(params: ModelParams, comp: Composition4) -> LogValue:
     """Log of one summand of the average-concept-count sum.
 
-    Zero state as soon as any factor with positive exponent is 0; in
+    Each factor with a positive exponent adds exponent * log(base), with
+    log 0 = -inf, so the term is zero as soon as one such base is 0; in
     particular (1 - q**a)**d is zero for d > 0 with a == 0 (since q**0 is
     1), and likewise for the c-factor with b == 0.
     """
@@ -114,28 +115,15 @@ def log_term(params: ModelParams, comp: Composition4) -> LogValue:
         - math.lgamma(c + 1)
         - math.lgamma(d + 1)
     )
-    if a + c:
-        if p == 0.0:
-            return LogValue.zero()
-        total += (a + c) * math.log(p)
-    if b + d:
-        if p == 1.0:
-            return LogValue.zero()
-        total += (b + d) * math.log1p(-p)
-    if a and b:
-        if q == 0.0:
-            return LogValue.zero()
-        total += a * b * math.log(q)
-    if d:
-        factor = log_one_minus_pow(q, a)
-        if factor == float("-inf"):
-            return LogValue.zero()
-        total += d * factor
-    if c:
-        factor = log_one_minus_pow(q, b)
-        if factor == float("-inf"):
-            return LogValue.zero()
-        total += c * factor
+    for count, log_base in (
+        (a + c, math.log(p) if p > 0.0 else -math.inf),
+        (b + d, math.log1p(-p) if p < 1.0 else -math.inf),
+        (a * b, math.log(q) if q > 0.0 else -math.inf),
+        (d, log_one_minus_pow(q, a)),
+        (c, log_one_minus_pow(q, b)),
+    ):
+        if count:
+            total += count * log_base
     return LogValue.from_log(total)
 
 
@@ -161,7 +149,6 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
     log_not_p = math.log1p(-p) if p < 1.0 else -math.inf
     log_q = math.log(q) if q > 0.0 else -math.inf
     accumulator = LogSumExp()
-    evaluated = 0
     skipped = 0
     for a in range(n + 1):
         for b in range(n - a + 1):
@@ -178,14 +165,13 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
             if term == -math.inf:
                 skipped += 1
             else:
-                evaluated += 1
                 accumulator.add(term)
     log_value = accumulator.result()
     return ExpectationReport(
         params=params,
         log_value=log_value,
         value=log_value.exp(),
-        terms_evaluated=evaluated,
+        terms_evaluated=math.comb(n + 2, 2) - skipped,
         terms_skipped_zero=skipped,
     )
 

@@ -2,8 +2,8 @@
 
 Quantities in this package (term values, context probabilities) span many
 orders of magnitude, so they are carried as natural logarithms. An exact
-zero has no logarithm; ``LogValue`` makes that state explicit instead of
-overloading -inf or NaN.
+zero is carried as log 0 = -inf, its only representation, so a product
+with a zero factor is a sum that reaches -inf with no special case.
 """
 
 from __future__ import annotations
@@ -19,35 +19,30 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class LogValue:
-    """The natural log of a nonnegative real, with an explicit zero state.
-
-    ``LogValue.zero()`` represents the number 0; any other instance
-    represents exp(log).
-    """
+    """The natural log of a nonnegative real; -inf is the number 0."""
 
     log: float
-    is_zero: bool = False
+
+    @property
+    def is_zero(self) -> bool:
+        return self.log == -math.inf
 
     @classmethod
     def zero(cls) -> "LogValue":
-        return cls(float("-inf"), True)
+        return cls(-math.inf)
 
     @classmethod
     def from_log(cls, x: float) -> "LogValue":
-        return cls(x, False)
+        return cls(x)
 
     @classmethod
     def from_linear(cls, x: float) -> "LogValue":
         if x < 0.0:
             raise InputError(f"cannot take the log of a negative value: {x}")
-        if x == 0.0:
-            return cls.zero()
-        return cls(math.log(x), False)
+        return cls(-math.inf if x == 0.0 else math.log(x))
 
     def exp(self) -> float:
         """Linear value; overflows to +inf instead of raising."""
-        if self.is_zero:
-            return 0.0
         try:
             return math.exp(self.log)
         except OverflowError:

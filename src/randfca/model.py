@@ -187,9 +187,10 @@ def _check_universe_labels(ctx: FormalContext, n: int) -> None:
 def context_log_probability(params: ModelParams, ctx: FormalContext) -> LogValue:
     """Log of the model probability of one specific context.
 
-    Zero state when a factor with positive exponent vanishes (e.g. p == 1
-    but the context has attributes). Factors with exponent 0 contribute 1
-    regardless of the base.
+    Each factor with a positive exponent adds exponent * log(base), with
+    log 0 = -inf, so the probability is zero when such a base vanishes
+    (e.g. p == 1 but the context has attributes). Factors with exponent 0
+    contribute 1 regardless of the base.
     """
     _check_universe_labels(ctx, params.n)
     g = ctx.object_count
@@ -204,9 +205,7 @@ def context_log_probability(params: ModelParams, ctx: FormalContext) -> LogValue
         (absent, 1.0 - params.q),
     ):
         if count:
-            if prob == 0.0:
-                return LogValue.zero()
-            total += count * math.log(prob)
+            total += count * (math.log(prob) if prob > 0.0 else -math.inf)
     return LogValue.from_log(total)
 
 

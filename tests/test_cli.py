@@ -201,6 +201,7 @@ class TestGenAndConcepts:
         code, out, err = run(capsys, "concepts", "--in", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: line 3: expected object count as a decimal integer")
+        assert len(err) < 200
 
     def test_non_utf8_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.cxt"
@@ -412,16 +413,16 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == f"error: --max-n must be in 1..5, got {max_n}\n"
 
-    # At n = 1 every oracle is exactly 1; lowered, it stays in the absolute
-    # bound's range (1e-12). At n = 2 the oracles above 1 are scaled, and the
-    # relative bound (1e-10) judges them.
+    # One bound, 1e-12, on the error over max(oracle, 1). At n = 1 every
+    # oracle is exactly 1 and is lowered, so the error is absolute; at n = 2
+    # the oracles above 1 are scaled, so the error is relative.
     @pytest.mark.parametrize(
         "max_n, shift, code",
         [
             ("1", lambda e: e - 5e-13, 0),
             ("1", lambda e: e - 2e-12, 2),
-            ("2", lambda e: e * (1 + 5e-11) if e > 1 else e, 0),
-            ("2", lambda e: e * (1 + 2e-10) if e > 1 else e, 2),
+            ("2", lambda e: e * (1 + 5e-13) if e > 1 else e, 0),
+            ("2", lambda e: e * (1 + 2e-12) if e > 1 else e, 2),
         ],
     )
     def test_each_tolerance_decides_agreement(self, capsys, monkeypatch, max_n, shift, code):

@@ -64,6 +64,13 @@ class TestRead:
         with pytest.raises(ParseError) as err:
             read_cxt("A\n\n1\n1\n\ng\nm\nX\n")
         assert err.value.line == 1
+        assert str(err.value) == "line 1: expected magic line 'B', got 'A'"
+        # A line past 40 characters is quoted by its first 40 and its length.
+        with pytest.raises(ParseError) as err:
+            read_cxt("A" * 100_000 + "\n\n1\n1\n\ng\nm\nX\n")
+        assert str(err.value) == (
+            f"line 1: expected magic line 'B', got {'A' * 40!r}... (100000 characters)"
+        )
 
     # A count is ASCII decimal digits only; 5000 digits pass int()'s string limit.
     @pytest.mark.parametrize(
@@ -78,6 +85,7 @@ class TestRead:
             read_cxt(f"B\n\n{count}\n1\n\ng\nm\nX\n")
         assert err.value.line == 3
         assert "object count as a decimal integer" in str(err.value)
+        assert len(str(err.value)) < 200
 
     def test_illegal_row_character(self):
         with pytest.raises(ParseError) as err:
@@ -107,6 +115,13 @@ class TestRead:
         with pytest.raises(ParseError) as err:
             read_cxt("B\n\n2\n1\n\ng\ng\nm\nX\nX\n")
         assert err.value.line == 7
+        assert str(err.value) == "line 7: duplicate object label 'g'"
+        label = "g" * 50_000
+        with pytest.raises(ParseError) as err:
+            read_cxt(f"B\n\n2\n1\n\n{label}\n{label}\nm\nX\nX\n")
+        assert str(err.value) == (
+            f"line 7: duplicate object label {'g' * 40!r}... (50000 characters)"
+        )
 
     def test_truncated_file(self):
         with pytest.raises(ParseError):

@@ -64,6 +64,21 @@ class TestLogTerm:
         with pytest.raises(InputError):
             log_term(ModelParams(3, 0.5, 0.5), Composition4(1, 1, 0, 0))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_exactly_when_a_factor_with_positive_exponent_vanishes(self, n):
+        for p in (0.0, 0.5, 1.0):
+            for q in (0.0, 0.5, 1.0):
+                for comp in composition_iter(n):
+                    a, b, c, d = comp.a, comp.b, comp.c, comp.d
+                    rule = (
+                        (a + c > 0 and p == 0.0)
+                        or (b + d > 0 and p == 1.0)
+                        or (a * b > 0 and q == 0.0)
+                        or (d > 0 and (a == 0 or q == 1.0))
+                        or (c > 0 and (b == 0 or q == 1.0))
+                    )
+                    assert log_term(ModelParams(n, p, q), comp).is_zero == rule, (p, q, comp)
+
     def test_exponent_zero_never_zeroes_a_term(self):
         # p = 0 with a + c = 0 and q = 1 with c = d = 0 both survive
         got = log_term(ModelParams(2, 0.0, 1.0), Composition4(0, 2, 0, 0))

@@ -11,6 +11,11 @@ def test_zero_state():
     zero = LogValue.zero()
     assert zero.is_zero
     assert zero.exp() == 0.0
+    # -inf is the only zero, whichever constructor builds it.
+    assert LogValue.from_log(-math.inf).is_zero
+    assert LogValue.from_log(-math.inf) == zero
+    assert LogValue.from_linear(0.0) == zero
+    assert not LogValue.from_log(-1e308).is_zero
 
 
 def test_from_linear_roundtrip():

@@ -115,6 +115,20 @@ class TestLogProbability:
     def test_zero_state_when_p_is_one_but_attributes_exist(self):
         ctx = FormalContext(("1",), ("2",), ((False,),))
         assert context_log_probability(ModelParams(2, 1.0, 0.5), ctx).is_zero
+        # In general: zero exactly when a factor with positive exponent vanishes.
+        for n in (1, 2, 3):
+            for ctx in enumerate_sample_space(n):
+                g, m, incident = ctx.object_count, ctx.attribute_count, ctx.incidence_count
+                for p in (0.0, 0.5, 1.0):
+                    for q in (0.0, 0.5, 1.0):
+                        rule = (
+                            (g > 0 and p == 0.0)
+                            or (m > 0 and p == 1.0)
+                            or (incident > 0 and q == 0.0)
+                            or (g * m - incident > 0 and q == 1.0)
+                        )
+                        got = context_log_probability(ModelParams(n, p, q), ctx)
+                        assert got.is_zero == rule, (p, q, ctx)
 
     def test_label_partition_enforced(self):
         ctx = FormalContext(("1", "3"), (), ((), ()))
