@@ -9,10 +9,12 @@ the package). Exit codes: 0 success, 1 input error, 2 internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -101,6 +103,14 @@ def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
         for c in concepts
     ]
     return "[\n" + ",\n".join(blocks) + "\n    ]"
+
+
+def _fraction_text(value: Fraction) -> str:
+    """str(value), with each integer written through Decimal, whose
+    conversion has no digit limit."""
+    if value.denominator == 1:
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def _parse_prob(text: str, rational: bool) -> float | Fraction:
@@ -198,9 +208,9 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
     q = _parse_prob(args.q, args.rational)
     params = ModelParams(args.n, float(p), float(q))
     report = expected_concepts(params)
-    exact: Fraction | None = None
+    exact: str | None = None
     if args.rational:
-        exact = expected_concepts_exact(args.n, Fraction(p), Fraction(q))
+        exact = _fraction_text(expected_concepts_exact(args.n, Fraction(p), Fraction(q)))
     if args.json:
         payload = {
             "n": params.n,
@@ -213,7 +223,7 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
             "terms_skipped_zero": report.terms_skipped_zero,
         }
         if exact is not None:
-            payload["exact"] = str(exact)
+            payload["exact"] = exact
         print(_envelope_json(args, payload, started))
         return
     print(f"expected concepts: {_fmt(report.value)}")
@@ -353,6 +363,9 @@ def _cmd_verify(args: argparse.Namespace, started: float) -> None:
     print("OK")
 
 
+# Built once per process; parse_args returns a new namespace and leaves the
+# parser unchanged, so every main call can share it.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="randfca",

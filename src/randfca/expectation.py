@@ -22,8 +22,16 @@ evaluation paths sum the C(n+2, 2) collapsed terms over a + b <= n:
 the (1 - q**k) factors via expm1/log1p, the bracket as a log-sum of its
 two nonnegative parts so it never cancels); its report counts the
 collapsed terms, `terms_evaluated` nonzero and `terms_skipped_zero` zero.
-`expected_concepts_exact` sums the same terms over rationals, for
-n <= MAX_EXACT_N = 128. The 4-part summand (`log_term` over
+`expected_concepts_exact` gives the value as a rational, for
+n <= MAX_EXACT_N = 192. With p = u/v and q = s/t in lowest terms,
+w = v - u and k = max(a, b), the collapsed term is
+
+    C(n, a) * C(n-a, b) * u**a * w**b * s**(a*b) * B**r / (v**n * t**(k*(n-k)))
+
+with B = u*(t**b - s**b)*t**(k-b) + w*(t**a - s**a)*t**(k-a), since
+a*b + k*r = k*(n-k). So the average is one integer sum over the common
+denominator v**n * t**E, E the largest k*(n-k), reduced once at the end;
+it is exact by construction. The 4-part summand (`log_term` over
 `composition_iter`) is kept as an independent oracle, next to a
 brute-force oracle that integrates the concept count over the entire
 sample space (guarded to n <= 5).
@@ -42,7 +50,7 @@ from .logspace import LogSumExp, LogValue, log_one_minus_pow
 from .model import ModelParams, context_log_probability, enumerate_sample_space
 
 MAX_BRUTEFORCE_N = 5
-MAX_EXACT_N = 128
+MAX_EXACT_N = 192
 
 
 @dataclass(frozen=True)
@@ -179,8 +187,9 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
 def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
     """Exact rational value of the average, for rational p and q.
 
-    Used to calibrate the float path; arbitrary-precision arithmetic keeps
-    this honest but slow, hence the n guard.
+    Used to calibrate the float path. The numerators are summed as
+    integers over one common denominator (see the module docstring), so
+    only the result is reduced; the n guard bounds their size.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -192,19 +201,26 @@ def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
         raise InputError(f"p must be in [0, 1], got {p}")
     if not 0 <= q <= 1:
         raise InputError(f"q must be in [0, 1], got {q}")
-    miss = [1 - q**k for k in range(n + 1)]
-    total = Fraction(0)
+    u, v = p.numerator, p.denominator
+    s, t = q.numerator, q.denominator
+    w = v - u
+    t_pow = [t**j for j in range(n + 1)]
+    miss = [t_pow[j] - s**j for j in range(n + 1)]  # t**j * (1 - q**j)
+    # Numerators grouped by k = max(a, b), which fixes the power of t.
+    by_k = [0] * (n + 1)
     for a in range(n + 1):
+        row = math.comb(n, a) * u**a
+        s_a = s**a
+        s_ab = w_b = 1
         for b in range(n - a + 1):
-            total += (
-                math.comb(n, a)
-                * math.comb(n - a, b)
-                * p**a
-                * (1 - p) ** b
-                * q ** (a * b)
-                * (p * miss[b] + (1 - p) * miss[a]) ** (n - a - b)
-            )
-    return total
+            k = max(a, b)
+            bracket = u * miss[b] * t_pow[k - b] + w * miss[a] * t_pow[k - a]
+            by_k[k] += row * math.comb(n - a, b) * w_b * s_ab * bracket ** (n - a - b)
+            s_ab *= s_a
+            w_b *= w
+    top = (n // 2) * (n - n // 2)
+    total = sum(part * t ** (top - k * (n - k)) for k, part in enumerate(by_k))
+    return Fraction(total, v**n * t**top)
 
 
 def expected_concepts_bruteforce(params: ModelParams) -> float:

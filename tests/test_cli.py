@@ -1,10 +1,13 @@
 import contextlib
+import functools
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import randfca
 import randfca.cli
 from randfca import CxtDocument, FormalContext, InternalError, enumerate_concepts, write_cxt
 from randfca.cli import main
+from test_expectation import fraction_loop
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,9 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+cached_fraction_loop = functools.cache(fraction_loop)
 
 
 class TestExpect:
@@ -68,6 +75,53 @@ class TestExpect:
         code, _, err = run(capsys, "expect", "--n", "0", "--p", "0.5", "--q", "0.5")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    @pytest.mark.parametrize(
+        "n,p,q",
+        [
+            (1, "1/3", "2/5"),  # the value 1, printed as an integer
+            # Numerator and denominator have more than 4300 digits, the
+            # interpreter's default limit for converting an int to str.
+            (40, "1/3", "999999999999999999/1000000000000000000"),
+        ],
+    )
+    def test_exact_value_is_printed_in_full(self, capsys, json_mode, n, p, q):
+        argv = ["expect", "--rational", "--n", str(n), "--p", p, "--q", q]
+        code, out, err = run(capsys, *argv, *(["--json"] if json_mode else []))
+        assert (code, err) == (0, "")
+        if json_mode:
+            text = json.loads(out)["payload"]["exact"]
+        else:
+            (line,) = [line for line in out.splitlines() if line.startswith("exact: ")]
+            text = line.removeprefix("exact: ")
+        want = cached_fraction_loop(n, Fraction(p), Fraction(q))
+        numerator, _, denominator = text.partition("/")
+        got = (int(Decimal(numerator)), int(Decimal(denominator or "1")))
+        assert got == (want.numerator, want.denominator)
+        assert len(denominator) > 4300 or want.denominator == 1
+
+
+class TestParserReuse:
+    def test_calls_in_a_row_match_fresh_imports(self, capsys, monkeypatch):
+        # A fixed width, so that argparse wraps usage lines alike in both.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(Path(randfca.__file__).resolve().parents[1]))
+        calls = [
+            (0, ("asymptotic", "--ns", "10,100,1000")),
+            (1, ("expect", "--n", "2", "--p", "0.5")),  # usage error: --q is missing
+            (0, ("expect", "--n", "7", "--p", "1/3", "--q", "2/5", "--rational")),
+        ]
+        for code, argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "randfca", *argv],
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            want = (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+            assert want[0] == code, want
+            assert run(capsys, *argv) == want, argv
 
 
 class TestAsymptotic:

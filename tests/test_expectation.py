@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randfca import (
     Composition4,
@@ -18,6 +20,33 @@ from randfca import (
 )
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def fraction_loop(n, p, q):
+    """The collapsed (a, b) sum added term by term in Fractions: the oracle
+    for the integer sum of `expected_concepts_exact`."""
+    p = Fraction(p)
+    q = Fraction(q)
+    miss = [1 - q**k for k in range(n + 1)]
+    total = Fraction(0)
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            total += (
+                math.comb(n, a)
+                * math.comb(n - a, b)
+                * p**a
+                * (1 - p) ** b
+                * q ** (a * b)
+                * (p * miss[b] + (1 - p) * miss[a]) ** (n - a - b)
+            )
+    return total
+
+
+# Rationals in [0, 1]: the corners, a half, and denominators up to 10**18.
+probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**18),
+)
 
 
 class TestCompositions:
@@ -203,6 +232,27 @@ class TestExactRational:
 
     def test_guards(self):
         with pytest.raises(SizeError):
-            expected_concepts_exact(129, Fraction(1, 2), Fraction(1, 2))
+            expected_concepts_exact(193, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(InputError):
             expected_concepts_exact(3, Fraction(3, 2), Fraction(1, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), probabilities, probabilities)
+    @example(40, Fraction(123456789012345678, 10**18 - 11), Fraction(10**18 - 1, 10**18))
+    def test_equals_fraction_loop(self, n, p, q):
+        assert expected_concepts_exact(n, p, q) == fraction_loop(n, p, q)
+
+    @pytest.mark.parametrize(
+        "n,p,q",
+        [
+            (60, Fraction(1, 3), Fraction(2, 5)),
+            (60, Fraction(3, 4), Fraction(1, 8)),
+            (96, Fraction(1, 3), Fraction(2, 5)),
+            (96, Fraction(3, 4), Fraction(1, 8)),
+            # the benchmark's two rational evaluations
+            (32, Fraction(1, 2), Fraction(1, 2)),
+            (40, Fraction(1, 3), Fraction(2, 5)),
+        ],
+    )
+    def test_equals_fraction_loop_at_fixed_points(self, n, p, q):
+        assert expected_concepts_exact(n, p, q) == fraction_loop(n, p, q)
