@@ -61,7 +61,7 @@ from .expectation import (
     expected_concepts_exact,
     log_term,
 )
-from .logspace import LogSumExp, LogValue, log1mexp, log_one_minus_pow, log_sum_exp
+from .logspace import LogValue, log1mexp, log_one_minus_pow, log_sum_exp
 from .model import (
     ModelParams,
     Seed,
@@ -87,7 +87,6 @@ __all__ = [
     "FormalContext",
     "InputError",
     "InternalError",
-    "LogSumExp",
     "LogValue",
     "McEstimate",
     "ModelParams",

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from decimal import Decimal
@@ -22,7 +23,7 @@ from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import Concept, FormalContext, count_concepts, enumerate_concepts
 from .context import _default_labels, _members
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
-from .errors import InputError, InternalError, RandFcaError
+from .errors import InputError, InternalError, RandFcaError, quote
 from .expectation import (
     MAX_BRUTEFORCE_N,
     expected_concepts,
@@ -117,7 +118,7 @@ def _parse_prob(text: str, rational: bool) -> float | Fraction:
     try:
         return Fraction(text) if rational else float(text)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"cannot parse probability {text!r}") from None
+        raise InputError(f"cannot parse probability {quote(text)}") from None
 
 
 def _parse_n(token: str) -> int:
@@ -137,7 +138,7 @@ def _parse_n(token: str) -> int:
             return int(token)
     except ValueError:
         pass
-    raise InputError(f"n value {token!r} is not an integer below 2^{_MAX_NS_BITS}")
+    raise InputError(f"n value {quote(token)} is not an integer below 2^{_MAX_NS_BITS}")
 
 
 def _parse_ns(text: str) -> list[int]:
@@ -430,7 +431,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.func(args, time.perf_counter())
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return 0
+    except BrokenPipeError:
+        # stdout's reader is gone: no message, and stdout points at devnull
+        # so that the interpreter's final flush writes nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

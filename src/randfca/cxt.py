@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import FormalContext, _bit_row_digits
-from .errors import ParseError, SerializationError
+from .errors import ParseError, SerializationError, quote
 
 
 # str.translate tables between incidence characters and binary digits;
@@ -31,9 +31,6 @@ from .errors import ParseError, SerializationError
 _CROSS_TO_BIT = str.maketrans("X.", "10")
 _BIT_TO_CROSS = str.maketrans("10", "X.")
 _NOT_A_CROSS = str.maketrans("", "", "X.")
-
-# Error messages quote an input line in full up to this many characters.
-_QUOTE_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -71,14 +68,6 @@ class _LineReader:
             self._next += 1
 
 
-def _quote(line: str) -> str:
-    """repr of an input line for an error message; a long line is cut to
-    its first _QUOTE_LIMIT characters, followed by its length."""
-    if len(line) <= _QUOTE_LIMIT:
-        return repr(line)
-    return f"{line[:_QUOTE_LIMIT]!r}... ({len(line)} characters)"
-
-
 def _take_count(reader: _LineReader, what: str) -> int:
     line = reader.take(what)
     if line.isascii() and line.isdigit():
@@ -86,7 +75,7 @@ def _take_count(reader: _LineReader, what: str) -> int:
             return int(line)
         except ValueError:  # past int()'s limit on the digits of a decimal string
             pass
-    raise ParseError(f"expected {what} as a decimal integer, got {_quote(line)}", reader.line_number)
+    raise ParseError(f"expected {what} as a decimal integer, got {quote(line)}", reader.line_number)
 
 
 def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
@@ -94,7 +83,7 @@ def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
     for _ in range(count):
         label = reader.take(f"{kind} label")
         if label in labels:
-            raise ParseError(f"duplicate {kind} label {_quote(label)}", reader.line_number)
+            raise ParseError(f"duplicate {kind} label {quote(label)}", reader.line_number)
         labels[label] = None
     return tuple(labels)
 
@@ -112,13 +101,13 @@ def read_cxt(data: str | bytes) -> CxtDocument:
     reader = _LineReader(data.replace("\r\n", "\n").replace("\r", "\n"))
     magic = reader.take("magic line 'B'")
     if magic != "B":
-        raise ParseError(f"expected magic line 'B', got {_quote(magic)}", 1)
+        raise ParseError(f"expected magic line 'B', got {quote(magic)}", 1)
     title = reader.take("title line") or None
     object_count = _take_count(reader, "object count")
     attribute_count = _take_count(reader, "attribute count")
     blank = reader.take("blank separator line")
     if blank != "":
-        raise ParseError(f"expected a blank line, got {_quote(blank)}", reader.line_number)
+        raise ParseError(f"expected a blank line, got {quote(blank)}", reader.line_number)
     objects = _take_labels(reader, object_count, "object")
     attributes = _take_labels(reader, attribute_count, "attribute")
     rows = []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote input."""
 
 
 class RandFcaError(Exception):
@@ -33,3 +33,15 @@ class SerializationError(RandFcaError):
 
 class InternalError(RandFcaError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+# Error messages quote an input text in full up to this many characters.
+_QUOTE_LIMIT = 40
+
+
+def quote(text: str) -> str:
+    """repr of an input text for an error message; a long text is cut to
+    its first _QUOTE_LIMIT characters, followed by its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"

@@ -4,6 +4,8 @@ Quantities in this package (term values, context probabilities) span many
 orders of magnitude, so they are carried as natural logarithms. An exact
 zero is carried as log 0 = -inf, its only representation, so a product
 with a zero factor is a sum that reaches -inf with no special case.
+Sums of such values go through :func:`log_sum_exp`, the package's one
+log-sum-exp.
 """
 
 from __future__ import annotations
@@ -26,20 +28,6 @@ class LogValue:
     @property
     def is_zero(self) -> bool:
         return self.log == -math.inf
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(-math.inf)
-
-    @classmethod
-    def from_log(cls, x: float) -> "LogValue":
-        return cls(x)
-
-    @classmethod
-    def from_linear(cls, x: float) -> "LogValue":
-        if x < 0.0:
-            raise InputError(f"cannot take the log of a negative value: {x}")
-        return cls(-math.inf if x == 0.0 else math.log(x))
 
     def exp(self) -> float:
         """Linear value; overflows to +inf instead of raising."""
@@ -82,39 +70,21 @@ def log_one_minus_pow(base: float, exponent: int) -> float:
     return log1mexp(exponent * math.log(base))
 
 
-class LogSumExp:
-    """Streaming log-sum-exp accumulator.
-
-    Keeps a running maximum and rescales the partial sum online, so a
-    single pass suffices. -inf inputs contribute exactly 0 and are
-    accepted; the result of adding nothing (or only -inf) is the zero
-    state.
-    """
-
-    __slots__ = ("_max", "_acc")
-
-    def __init__(self) -> None:
-        self._max = float("-inf")
-        self._acc = 0.0
-
-    def add(self, x: float) -> None:
-        if x == float("-inf"):
-            return
-        if x <= self._max:
-            self._acc += math.exp(x - self._max)
-        else:
-            self._acc = self._acc * math.exp(self._max - x) + 1.0
-            self._max = x
-
-    def result(self) -> LogValue:
-        if self._acc == 0.0:
-            return LogValue.zero()
-        return LogValue.from_log(self._max + math.log(self._acc))
-
-
 def log_sum_exp(values: Iterable[float]) -> LogValue:
-    """log(sum(exp(v) for v in values)) as a :class:`LogValue`."""
-    acc = LogSumExp()
-    for v in values:
-        acc.add(v)
-    return acc.result()
+    """log(sum(exp(v) for v in values)) as a :class:`LogValue`, in one pass.
+
+    Keeps the largest value so far and the sum of exp(v - largest),
+    rescaling the sum when a new largest value arrives. A -inf value (an
+    exact zero) adds nothing; a sum of nothing is LogValue(-inf).
+    """
+    top = -math.inf
+    total = 0.0
+    for x in values:
+        if x == -math.inf:
+            continue
+        if x <= top:
+            total += math.exp(x - top)
+        else:
+            total = total * math.exp(top - x) + 1.0
+            top = x
+    return LogValue(top + math.log(total) if total else -math.inf)

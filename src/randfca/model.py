@@ -206,7 +206,7 @@ def context_log_probability(params: ModelParams, ctx: FormalContext) -> LogValue
     ):
         if count:
             total += count * (math.log(prob) if prob > 0.0 else -math.inf)
-    return LogValue.from_log(total)
+    return LogValue(total)
 
 
 def enumerate_sample_space(n: int) -> Iterator[FormalContext]:

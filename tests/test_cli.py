@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
@@ -100,6 +101,21 @@ class TestExpect:
         got = (int(Decimal(numerator)), int(Decimal(denominator or "1")))
         assert got == (want.numerator, want.denominator)
         assert len(denominator) > 4300 or want.denominator == 1
+
+    def test_exact_denominator_over_budget_exits_one_at_once(self, capsys):
+        # The common denominator would have about 144000 bits.
+        p, q = "123456789012345678/999999999999999989", "999999999999999999/1000000000000000000"
+        started = time.perf_counter()
+        code, out, err = run(capsys, "expect", "--rational", "--n", "96", "--p", p, "--q", q)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exact evaluation supports a common denominator")
+
+    def test_long_probability_is_quoted_short(self, capsys):
+        # 5000 digits, past the interpreter's 4300-digit limit for int().
+        code, out, err = run(capsys, "expect", "--rational", "--n", "2", "--p", "1" * 5000, "--q", "1/2")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse probability {'1' * 40!r}... (5000 characters)\n"
 
 
 class TestParserReuse:
@@ -575,3 +591,51 @@ class TestErrorHandling:
         assert out == ""
         assert err == "internal error: ZeroDivisionError: division by zero\n"
         assert "Traceback" not in err
+
+    @staticmethod
+    def closed_stdout_env(buffered):
+        # PYTHONUNBUFFERED moves the failing write from the exit-time flush
+        # into the command's own output calls; both must end alike.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(randfca.__file__).resolve().parents[1])
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_exits_one_without_a_message(self, buffered):
+        env = self.closed_stdout_env(buffered)
+        gen = [sys.executable, "-m", "randfca", "gen", "--n", "60", "--p", "0.5", "--q", "0.5"]
+        cxt = subprocess.run([*gen, "--seed", "31"], capture_output=True, env=env, check=True)
+        # A 3923-concept listing, about 390 kB: more than a pipe buffer holds.
+        listing = subprocess.Popen(
+            [sys.executable, "-m", "randfca", "concepts"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        listing.stdin.write(cxt.stdout)
+        listing.stdin.close()
+        assert listing.stdout.readline() == b"concepts: 3923\n"
+        listing.stdout.close()
+        assert listing.wait(timeout=60) == 1
+        assert listing.stderr.read() == b""
+        listing.stderr.close()
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_short_output_to_a_closed_stdout(self, buffered):
+        # Output small enough to stay in stdout's buffer until the end.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "randfca", "expect", "--n", "3", "--p", "0.5", "--q", "0.5"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=self.closed_stdout_env(buffered),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, b"")

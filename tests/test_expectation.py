@@ -192,6 +192,40 @@ class TestAgainstCompositionSum:
         assert float(expected_concepts_exact(n, p, q)) == pytest.approx(want, rel=1e-12)
 
 
+# ln E(n, p, q) from the collapsed (a, b) sum in 60-digit arithmetic (mpmath,
+# term by term) over the exact binary values of p and q, checked against an
+# 80-digit run; 25 digits kept. The first twelve are the benchmark's float
+# points.
+HIGH_PRECISION_LOG = {
+    (40, 0.5, 0.5): "6.30128748438852190689864",
+    (40, 0.1, 0.9): "3.437772639516226086151368",
+    (40, 0.9, 0.1): "2.015914184310294920168867",
+    (40, 0.5, 1.0): "0",
+    (60, 0.5, 0.5): "8.261201714157196516870177",
+    (60, 0.1, 0.9): "5.378804173792260386387575",
+    (60, 0.9, 0.1): "2.618690349104073341055323",
+    (60, 0.5, 1.0): "0",
+    (80, 0.5, 0.5): "9.863771270619174122613204",
+    (80, 0.1, 0.9): "7.272930086563922285222824",
+    (80, 0.9, 0.1): "3.131055157287536578637642",
+    (80, 0.5, 1.0): "0",
+    (500, 0.5, 0.5): "24.43472263346676174610043",
+    (80, 1e-6, 1 - 2**-30): "5.885952571823189471663771e-12",
+}
+
+
+@pytest.mark.parametrize("n,p,q", list(HIGH_PRECISION_LOG))
+def test_log_value_against_high_precision_reference(n, p, q):
+    """|got - want| <= 1e-12 * max(|want|, 1) at every point. The worst
+    error measured is 3.8e-14, at (60, 0.5, 1.0), where ln E is 0. At
+    (80, 1e-6, 1 - 2**-30) ln E is 5.9e-12 and the error 8.3e-17: a
+    relative error of 1.4e-5 to ln E itself, since E = 1 + 5.9e-12 is
+    summed in doubles."""
+    want = float(HIGH_PRECISION_LOG[(n, p, q)])
+    got = expected_concepts(ModelParams(n, p, q)).log_value.log
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
 class TestBruteforce:
     def test_n1_any_params(self):
         assert expected_concepts_bruteforce(ModelParams(1, 0.3, 0.9)) == pytest.approx(
@@ -233,6 +267,10 @@ class TestExactRational:
     def test_guards(self):
         with pytest.raises(SizeError):
             expected_concepts_exact(193, Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(SizeError):  # a common denominator of about 144000 bits
+            expected_concepts_exact(
+                96, Fraction(123456789012345678, 10**18 - 11), Fraction(10**18 - 1, 10**18)
+            )
         with pytest.raises(InputError):
             expected_concepts_exact(3, Fraction(3, 2), Fraction(1, 2))
 
