@@ -125,39 +125,38 @@ def relative_gap(n: int) -> float:
     abs(log_split_term(n) / (ln(n)**2 / ln 2) - 1); defined for n >= 2
     only, since ln(1)**2 = 0.
     """
-    if n < 2:
-        raise DomainError(f"relative gap requires n >= 2, got {n}")
-    log_n = math.log(n)
-    return abs(log_split_term(n) / (log_n * log_n / _LN2) - 1.0)
+    return table_report([n])[0].gap
 
 
 def threshold_holds(n: int) -> bool:
     """True when the split term alone exceeds n**(ln n).
 
     Equivalent to log_split_term(n) > ln(n)**2, i.e. relative gap below
-    1 - ln 2 (about 0.3069).
+    1 - ln 2 (about 0.3069); defined for n >= 2 only.
     """
-    if n < 2:
-        raise DomainError(f"threshold check requires n >= 2, got {n}")
-    log_n = math.log(n)
-    return log_split_term(n) > log_n * log_n
+    return table_report([n])[0].exceeds_threshold
 
 
 def table_report(ns: Sequence[int]) -> list[AsymptoticRow]:
-    """One diagnostic row per n (each n >= 2, checked before any term is evaluated)."""
+    """One diagnostic row per n (each n >= 2, checked before any term is
+    evaluated), from one evaluation of the split term."""
     for n in ns:
         if n < 2:
             raise DomainError(f"relative gap requires n >= 2, got {n}")
-    return [
-        AsymptoticRow(
-            n=n,
-            split=split_indices(n),
-            log_term=log_split_term(n),
-            gap=relative_gap(n),
-            exceeds_threshold=threshold_holds(n),
+    rows = []
+    for n in ns:
+        log_term = log_split_term(n)
+        log_n = math.log(n)
+        rows.append(
+            AsymptoticRow(
+                n=n,
+                split=split_indices(n),
+                log_term=log_term,
+                gap=abs(log_term / (log_n * log_n / _LN2) - 1.0),
+                exceeds_threshold=log_term > log_n * log_n,
+            )
         )
-        for n in ns
-    ]
+    return rows
 
 
 def round_half_up(x: float, places: int = 3) -> float:

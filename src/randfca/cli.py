@@ -26,11 +26,12 @@ from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError, quote
 from .expectation import (
     MAX_BRUTEFORCE_N,
+    MAX_EXACT_BITS,
     expected_concepts,
     expected_concepts_bruteforce,
     expected_concepts_exact,
 )
-from .model import ModelParams, Seed, sample_context
+from .model import ModelParams, Seed, _draw
 from .montecarlo import compare_with_exact, estimate
 
 DEFAULT_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -39,6 +40,12 @@ DEFAULT_VERIFY_MAX_N = 4
 # --ns values are parsed only below 2**_MAX_NS_BITS, so that a form like
 # 10^1000000000 is refused before the power is built.
 _MAX_NS_BITS = 64
+
+# A --rational probability's decimal exponent is bounded by this. Fraction
+# parses a mantissa of at most 2 x 4300 digits (the interpreter's int
+# limit), so past the bound a probability is 0, above 1, or has a
+# denominator over MAX_EXACT_BITS bits, which the exact sum refuses anyway.
+_MAX_EXPONENT = MAX_EXACT_BITS
 
 # Per-case agreement bound on |formula - oracle| / max(|oracle|, 1).
 VERIFY_TOL = 1e-12
@@ -86,6 +93,11 @@ def _envelope_json(args: argparse.Namespace, payload: dict, started: float) -> s
     return json.dumps(_json_safe(envelope), indent=2, allow_nan=False)
 
 
+def _emit(args: argparse.Namespace, started: float, payload: dict, text: str) -> None:
+    """Print one report: its envelope under --json, its text otherwise."""
+    print(_envelope_json(args, payload, started) if args.json else text)
+
+
 def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
     """The payload's "concepts" array, byte for byte as json.dumps(indent=2)
     writes it at that depth, from labels encoded once instead of per use."""
@@ -116,9 +128,15 @@ def _fraction_text(value: Fraction) -> str:
 
 def _parse_prob(text: str, rational: bool) -> float | Fraction:
     try:
-        return Fraction(text) if rational else float(text)
+        if not rational:
+            return float(text)
+        # Fraction builds 10**exponent: bound the exponent before that.
+        _, marker, exponent = text.lower().rpartition("e")
+        if not marker or abs(int(exponent)) <= _MAX_EXPONENT:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse probability {quote(text)}") from None
+    raise InputError(f"probability {quote(text)} has an exponent beyond ±{_MAX_EXPONENT}")
 
 
 def _parse_n(token: str) -> int:
@@ -166,9 +184,9 @@ def _label_set(labels: Sequence[str], mask: int) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace, started: float) -> None:
-    params = ModelParams(args.n, args.p, args.q)
-    sampled = sample_context(params, Seed(args.seed))
-    ctx = sampled._relabelled(*_default_labels(sampled.object_count, sampled.attribute_count))
+    sides, digits = _draw(ModelParams(args.n, args.p, args.q), Seed(args.seed))
+    g = sides.count("1")
+    ctx = FormalContext._from_digits(*_default_labels(g, len(sides) - g), digits)
     if args.format == "cxt":
         text = write_cxt(CxtDocument(ctx))
     else:
@@ -185,7 +203,7 @@ def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
     ctx = read_cxt(_read_input(getattr(args, "in"))).context
     if args.count_only:
         count = count_concepts(ctx, algorithm=args.algo)
-        print(_envelope_json(args, {"count": count}, started) if args.json else count)
+        _emit(args, started, {"count": count}, str(count))
         return
     concepts = enumerate_concepts(ctx, algorithm=args.algo)
     if args.json:
@@ -209,159 +227,126 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
     q = _parse_prob(args.q, args.rational)
     params = ModelParams(args.n, float(p), float(q))
     report = expected_concepts(params)
-    exact: str | None = None
+    log_value = report.log_value
+    payload = {
+        "n": params.n,
+        "p": params.p,
+        "q": params.q,
+        "value": report.value,
+        "log_value": log_value.log,  # -inf is written as null
+        "is_zero": log_value.is_zero,
+        "terms_evaluated": report.terms_evaluated,
+        "terms_skipped_zero": report.terms_skipped_zero,
+    }
+    lines = [f"expected concepts: {_fmt(report.value)}"]
     if args.rational:
-        exact = _fraction_text(expected_concepts_exact(args.n, Fraction(p), Fraction(q)))
-    if args.json:
-        payload = {
-            "n": params.n,
-            "p": params.p,
-            "q": params.q,
-            "value": report.value,
-            "log_value": None if report.log_value.is_zero else report.log_value.log,
-            "is_zero": report.log_value.is_zero,
-            "terms_evaluated": report.terms_evaluated,
-            "terms_skipped_zero": report.terms_skipped_zero,
-        }
-        if exact is not None:
-            payload["exact"] = exact
-        print(_envelope_json(args, payload, started))
-        return
-    print(f"expected concepts: {_fmt(report.value)}")
-    if exact is not None:
-        print(f"exact: {exact}")
-    log_text = "-inf (zero)" if report.log_value.is_zero else _fmt(report.log_value.log)
-    print(f"log: {log_text}")
+        payload["exact"] = _fraction_text(expected_concepts_exact(args.n, Fraction(p), Fraction(q)))
+        lines.append(f"exact: {payload['exact']}")
     total = report.terms_evaluated + report.terms_skipped_zero
-    print(
+    lines += [
+        f"log: {'-inf (zero)' if log_value.is_zero else _fmt(log_value.log)}",
         f"terms: {total} total = {report.terms_evaluated} evaluated"
-        f" + {report.terms_skipped_zero} zero"
-    )
+        f" + {report.terms_skipped_zero} zero",
+    ]
+    _emit(args, started, payload, "\n".join(lines))
 
 
 def _cmd_mc(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
+    run = compare_with_exact if args.compare_exact else estimate
+    outcome = run(params, args.samples, Seed(args.seed), workers=args.workers)
+    result = outcome.estimate if args.compare_exact else outcome
+    payload = {
+        "n": params.n,
+        "p": params.p,
+        "q": params.q,
+        "samples": result.samples,
+        "seed": result.seed.master,
+        "workers": args.workers,
+        "mean": result.mean,
+        "stderr": result.stderr,
+        "ci95_low": result.ci95_low,
+        "ci95_high": result.ci95_high,
+        "min_count": result.min_count,
+        "max_count": result.max_count,
+    }
+    lines = [
+        f"mean: {_fmt(result.mean)}",
+        f"stderr: {_fmt(result.stderr)}",
+        f"ci95: [{_fmt(result.ci95_low)}, {_fmt(result.ci95_high)}]",
+        f"count range: [{result.min_count}, {result.max_count}]",
+        f"samples: {result.samples}  seed: {result.seed.master}  workers: {args.workers}",
+    ]
     if args.compare_exact:
-        comparison = compare_with_exact(
-            params, args.samples, Seed(args.seed), workers=args.workers
-        )
-        result = comparison.estimate
-    else:
-        comparison = None
-        result = estimate(params, args.samples, Seed(args.seed), workers=args.workers)
-    if args.json:
-        payload = {
-            "n": params.n,
-            "p": params.p,
-            "q": params.q,
-            "samples": result.samples,
-            "seed": result.seed.master,
-            "workers": args.workers,
-            "mean": result.mean,
-            "stderr": result.stderr,
-            "ci95_low": result.ci95_low,
-            "ci95_high": result.ci95_high,
-            "min_count": result.min_count,
-            "max_count": result.max_count,
-        }
-        if comparison is not None:
-            payload["exact"] = comparison.exact
-            payload["z"] = comparison.z
-        print(_envelope_json(args, payload, started))
-        return
-    print(f"mean: {_fmt(result.mean)}")
-    print(f"stderr: {_fmt(result.stderr)}")
-    print(f"ci95: [{_fmt(result.ci95_low)}, {_fmt(result.ci95_high)}]")
-    print(f"count range: [{result.min_count}, {result.max_count}]")
-    print(f"samples: {result.samples}  seed: {result.seed.master}  workers: {args.workers}")
-    if comparison is not None:
-        print(f"exact: {_fmt(comparison.exact)}")
-        print(f"z: {_fmt(comparison.z)}")
+        payload.update(exact=outcome.exact, z=outcome.z)
+        lines += [f"exact: {_fmt(outcome.exact)}", f"z: {_fmt(outcome.z)}"]
+    _emit(args, started, payload, "\n".join(lines))
 
 
 def _cmd_asymptotic(args: argparse.Namespace, started: float) -> None:
     # The report's params carry the parsed values.
     args.ns = _parse_ns(args.ns) if args.ns is not None else list(DEFAULT_TABLE_NS)
     rows = table_report(args.ns)
-    if args.json:
-        payload = {
-            "rows": [
-                {
-                    "n": row.n,
-                    "a": row.split.a,
-                    "b": row.split.b,
-                    "c": row.split.c,
-                    "d": row.split.d,
-                    "log_term": row.log_term,
-                    "gap": row.gap,
-                    "gap_3dp": round_half_up(row.gap, 3),
-                    "exceeds_threshold": row.exceeds_threshold,
-                }
-                for row in rows
-            ]
-        }
-        print(_envelope_json(args, payload, started))
-        return
-    header = (
+    payload = {
+        "rows": [
+            {
+                "n": row.n,
+                **vars(row.split),  # a, b, c, d
+                "log_term": row.log_term,
+                "gap": row.gap,
+                "gap_3dp": round_half_up(row.gap, 3),
+                "exceeds_threshold": row.exceeds_threshold,
+            }
+            for row in rows
+        ]
+    }
+    lines = [
         f"{'n':>12} {'a':>4} {'b':>4} {'c':>12} {'d':>12}"
         f" {'log_term':>14} {'gap':>8} {'threshold':>10}"
-    )
-    print(header)
-    for row in rows:
-        print(
-            f"{row.n:>12} {row.split.a:>4} {row.split.b:>4} {row.split.c:>12}"
-            f" {row.split.d:>12} {_fmt(row.log_term):>14}"
-            f" {round_half_up(row.gap, 3):>8.3f}"
-            f" {'yes' if row.exceeds_threshold else 'no':>10}"
-        )
+    ]
+    lines += [
+        f"{row['n']:>12} {row['a']:>4} {row['b']:>4} {row['c']:>12} {row['d']:>12}"
+        f" {_fmt(row['log_term']):>14} {row['gap_3dp']:>8.3f}"
+        f" {'yes' if row['exceeds_threshold'] else 'no':>10}"
+        for row in payload["rows"]
+    ]
+    _emit(args, started, payload, "\n".join(lines))
 
 
 def _cmd_verify(args: argparse.Namespace, started: float) -> None:
     if not 1 <= args.max_n <= MAX_BRUTEFORCE_N:
         raise InputError(f"--max-n must be in 1..{MAX_BRUTEFORCE_N}, got {args.max_n}")
     grid = DEFAULT_VERIFY_GRID
-    cases = 0
-    max_error = 0.0
-    worst: dict[str, Any] | None = None
-    all_ok = True
+    cases = []  # (normalized error, case)
     for n in range(1, args.max_n + 1):
         for p in grid:
             for q in grid:
                 params = ModelParams(n, p, q)
                 formula = expected_concepts(params).value
                 oracle = expected_concepts_bruteforce(params)
-                normalized = abs(formula - oracle) / max(abs(oracle), 1.0)
-                ok = normalized <= VERIFY_TOL
-                cases += 1
-                all_ok = all_ok and ok
-                if normalized >= max_error:
-                    max_error = normalized
-                    worst = {
-                        "n": n,
-                        "p": p,
-                        "q": q,
-                        "formula": formula,
-                        "bruteforce": oracle,
-                    }
-    if not all_ok:
+                case = {"n": n, "p": p, "q": q, "formula": formula, "bruteforce": oracle}
+                cases.append((abs(formula - oracle) / max(abs(oracle), 1.0), case))
+    # max keeps the first of equal errors it meets: reversed, the last case.
+    max_error, worst = max(reversed(cases), key=lambda error_case: error_case[0])
+    ok = all(error <= VERIFY_TOL for error, _ in cases)
+    if not ok:
         raise InternalError(
             f"formula disagrees with brute force: worst case {worst},"
             f" normalized error {max_error:.3e}"
         )
-    if args.json:
-        payload = {
-            "max_n": args.max_n,
-            "grid": args.grid,
-            "cases": cases,
-            "max_normalized_error": max_error,
-            "ok": all_ok,
-            "worst": worst,
-        }
-        print(_envelope_json(args, payload, started))
-        return
-    print(f"cases: {cases} (n <= {args.max_n}, {len(grid)}x{len(grid)} probability grid)")
-    print(f"max relative error: {max_error:.3e}")
-    print("OK")
+    payload = {
+        "max_n": args.max_n,
+        "grid": args.grid,
+        "cases": len(cases),
+        "max_normalized_error": max_error,
+        "ok": ok,
+        "worst": worst,
+    }
+    text = (
+        f"cases: {len(cases)} (n <= {args.max_n}, {len(grid)}x{len(grid)} probability grid)\n"
+        f"max relative error: {max_error:.3e}\nOK"
+    )
+    _emit(args, started, payload, text)
 
 
 # Built once per process; parse_args returns a new namespace and leaves the

@@ -86,35 +86,22 @@ class FormalContext:
         self, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
     ) -> None:
         """Build from row-major incidence digits; the only code mapping a digit to a bit."""
-        self._label(objects, attributes)
-        g, m = len(self.objects), len(self.attributes)
-        # Reversed, the digits hold the last row first, each as its numeral.
-        # Column j is every m-th digit from place m - 1 - j: its numeral.
-        digits = digits[::-1]
-        rows = tuple([int(digits[k * m : k * m + m] or "0", 2) for k in reversed(range(g))])
-        cols = tuple([int(digits[m - 1 - j :: m] or "0", 2) for j in range(m)])
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
-
-    def _label(self, objects: Sequence[str], attributes: Sequence[str]) -> None:
         objects = tuple(objects)
         attributes = tuple(attributes)
         if len(set(objects)) != len(objects):
             raise InputError("object labels must be pairwise distinct")
         if len(set(attributes)) != len(attributes):
             raise InputError("attribute labels must be pairwise distinct")
+        g, m = len(objects), len(attributes)
+        # Reversed, the digits hold the last row first, each as its numeral.
+        # Column j is every m-th digit from place m - 1 - j: its numeral.
+        digits = digits[::-1]
+        rows = tuple([int(digits[k * m : k * m + m] or "0", 2) for k in reversed(range(g))])
+        cols = tuple([int(digits[m - 1 - j :: m] or "0", 2) for j in range(m)])
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
-
-    def _relabelled(self, objects: Sequence[str], attributes: Sequence[str]) -> "FormalContext":
-        """The same incidence under other labels, as many of each as before."""
-        ctx = FormalContext.__new__(FormalContext)
-        ctx._label(objects, attributes)
-        if (ctx.object_count, ctx.attribute_count) != (self.object_count, self.attribute_count):
-            raise InputError("relabelling must keep the object and attribute counts")
-        object.__setattr__(ctx, "_rows", self._rows)
-        object.__setattr__(ctx, "_cols", self._cols)
-        return ctx
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cols", cols)
 
     @classmethod
     def _from_digits(

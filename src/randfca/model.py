@@ -154,20 +154,27 @@ class ModelParams:
         object.__setattr__(self, "q", q)
 
 
+def _draw(params: ModelParams, seed: SeedLike) -> tuple[str, bytes]:
+    """The side digits of elements 1..n ("1" object) and the row-major
+    incidence digits of the objects against the attributes they leave."""
+    master = _master_of(seed)
+    n = params.n
+    sides = b"".join(_bernoulli_digits(master, 0, n, params.p)).decode()
+    g = sides.count("1")
+    # The incidence words follow, one per pair in row-major order.
+    return sides, b"".join(_bernoulli_digits(master, n, g * (n - g), params.q))
+
+
 def sample_context(params: ModelParams, seed: SeedLike) -> FormalContext:
     """Draw one random context; a pure function of (params, seed).
 
     Element i keeps its universe label str(i); objects and attributes each
     appear in ascending universe order.
     """
-    master = _master_of(seed)
-    n = params.n
-    sides = b"".join(_bernoulli_digits(master, 0, n, params.p)).decode()
+    sides, digits = _draw(params, seed)
     objects = tuple([str(i) for i, side in enumerate(sides, 1) if side == "1"])
     attributes = tuple([str(i) for i, side in enumerate(sides, 1) if side == "0"])
-    # The incidence words follow, one per pair in row-major order.
-    chunks = _bernoulli_digits(master, n, len(objects) * len(attributes), params.q)
-    return FormalContext._from_digits(objects, attributes, b"".join(chunks))
+    return FormalContext._from_digits(objects, attributes, digits)
 
 
 def _check_universe_labels(ctx: FormalContext, n: int) -> None:

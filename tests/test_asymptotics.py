@@ -130,7 +130,7 @@ class TestRelativeGap:
             assert round_half_up(relative_gap(n), 3) == expected
 
     def test_rejects_small_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^relative gap requires n >= 2, got 1$"):
             relative_gap(1)
 
     def test_strictly_decreasing_on_power_grid(self):
@@ -147,7 +147,8 @@ class TestThreshold:
         assert not threshold_holds(10)
 
     def test_rejects_small_n(self):
-        with pytest.raises(DomainError):
+        # The one n >= 2 message of the gap, the threshold and the table.
+        with pytest.raises(DomainError, match="^relative gap requires n >= 2, got 1$"):
             threshold_holds(1)
 
 
@@ -160,6 +161,18 @@ class TestTableReport:
         assert (row.split.a, row.split.b, row.split.c, row.split.d) == (3, 3, 2, 2)
         assert row.gap == pytest.approx(relative_gap(10), rel=1e-15)
         assert row.exceeds_threshold is False
+
+    def test_split_term_is_evaluated_once_per_row(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return log_split_term(n)
+
+        monkeypatch.setattr("randfca.asymptotics.log_split_term", counting)
+        rows = table_report(DEFAULT_TABLE_NS)
+        assert calls == list(DEFAULT_TABLE_NS)
+        assert [row.log_term for row in rows] == [log_split_term(n) for n in DEFAULT_TABLE_NS]
 
     def test_row_consistency(self):
         for row in table_report([100, 10**6, 10**10]):

@@ -117,6 +117,18 @@ class TestExpect:
         assert (code, out) == (1, "")
         assert err == f"error: cannot parse probability {'1' * 40!r}... (5000 characters)\n"
 
+    @pytest.mark.parametrize("p", ["1e-9999999", "0e99999999", "1E+32769"])
+    def test_probability_exponent_is_bounded_before_parsing(self, capsys, p):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "expect", "--rational", "--n", "2", "--q", "1/2", "--p", p)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: probability {p!r} has an exponent beyond ±32768\n"
+
+    def test_probability_exponent_at_the_bound_is_parsed(self, capsys):
+        code, out, _ = run(capsys, "expect", "--rational", "--n", "1", "--q", "1/2", "--p", "0e-32768")
+        assert (code, "\nexact: 1\n" in out) == (0, True)
+
 
 class TestParserReuse:
     def test_calls_in_a_row_match_fresh_imports(self, capsys, monkeypatch):
@@ -510,6 +522,94 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --grid" in err
+
+
+# Whole text reports, recorded from the program. verify's error is a
+# last-ulp quantity, so its report is matched by a pattern.
+_TEXT_REPORTS = {
+    "expect": (
+        ["expect", "--n", "80", "--p", "0.5", "--q", "1"],
+        "expected concepts: 1\n"
+        "log: -8.88178e-15\n"
+        "terms: 3321 total = 81 evaluated + 3240 zero\n",
+    ),
+    "expect-rational": (
+        ["expect", "--rational", "--n", "32", "--p", "1/2", "--q", "1/2"],
+        "expected concepts: 214.191\n"
+        "exact: 53260956393447927146244218413420310960248633118008396454566211120142120380869385961256093"
+        "/248661618204893321077691124073410420050228075398673858720231988446579748506266687766528\n"
+        "log: 5.36687\n"
+        "terms: 561 total = 560 evaluated + 1 zero\n",
+    ),
+    "mc-compare-exact": (
+        ["mc", "--compare-exact", "--n", "10", "--p", ".5", "--q", ".5", "--samples", "300", "--seed", "9"],
+        "mean: 7.35\n"
+        "stderr: 0.142765\n"
+        "ci95: [7.07018, 7.62982]\n"
+        "count range: [2, 17]\n"
+        "samples: 300  seed: 9  workers: 1\n"
+        "exact: 7.24546\n"
+        "z: 0.732244\n",
+    ),
+    "mc-degenerate": (
+        ["mc", "--compare-exact", "--n", "2", "--p", ".5", "--q", ".5", "--samples", "2", "--seed", "1"],
+        "mean: 1\n"
+        "stderr: 0\n"
+        "ci95: [1, 1]\n"
+        "count range: [1, 1]\n"
+        "samples: 2  seed: 1  workers: 1\n"
+        "exact: 1.25\n"
+        "z: -inf\n",
+    ),
+    "asymptotic": (
+        ["asymptotic", "--ns", "2,3,10,1000,1e5,10^12"],
+        "           n    a    b            c            d       log_term      gap  threshold\n"
+        "           2    1    1            0            0       -1.38629    3.000         no\n"
+        "           3    1    2            0            0       -2.36712    2.359         no\n"
+        "          10    3    3            2            2       -3.56932    1.467         no\n"
+        "        1000    9    9          491          491        24.3698    0.646         no\n"
+        "      100000   16   16        49984        49984         99.931    0.477         no\n"
+        "1000000000000   39   39 499999999961 499999999961        817.752    0.258        yes\n",
+    ),
+    "verify": (
+        ["verify", "--max-n", "2"],
+        re.compile(
+            r"cases: 50 \(n <= 2, 5x5 probability grid\)\n"
+            r"max relative error: \d\.\d{3}e[-+]\d\d\n"
+            r"OK\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_TEXT_REPORTS))
+def test_text_report_is_pinned(capsys, name):
+    argv, want = _TEXT_REPORTS[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if isinstance(want, str):
+        assert out == want
+    else:
+        assert want.fullmatch(out), out
+
+
+def test_readme_examples_are_what_the_program_prints(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = run(capsys, "asymptotic", "--ns", "10,1000,1e5,10^10")[1]
+    assert f"```\n{table}```" in readme
+    path = tmp_path / "ctx.cxt"
+    run(capsys, "gen", "--n", "7", "--p", "0.5", "--q", "0.5", "--seed", "11", "--out", str(path))
+    listing = run(capsys, "concepts", "--in", str(path))[1]
+    assert f"```\n{listing}```" in readme
+    assert "randfca expect --n 2 --p 0.5 --q 0.5                 # exact average: prints 1.25" in readme
+    assert run(capsys, "expect", "--n", "2", "--p", "0.5", "--q", "0.5")[1].startswith(
+        "expected concepts: 1.25\n"
+    )
+    assert "randfca expect --n 2 --p 1/2 --q 1/2 --rational      # also exact over rationals: 5/4" in readme
+    assert "\nexact: 5/4\n" in run(capsys, "expect", "--n", "2", "--p", "1/2", "--q", "1/2", "--rational")[1]
+    envelope = run_json(capsys, "expect", "--n", "2", "--p", "0.5", "--q", "0.5", "--json")
+    payload = envelope["payload"]
+    assert f'"payload": {{"value": {payload["value"]}, "log_value": {payload["log_value"]!r},' in readme
 
 
 class TestParams:

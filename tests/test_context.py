@@ -69,21 +69,6 @@ class TestConstruction:
         with pytest.raises(InputError):
             FormalContext.from_bit_rows(("a", "b"), ("x",), [1])
 
-    def test_relabelled_keeps_the_incidence(self):
-        ctx = build_context(3, 2, [0b01, 0b10, 0b11])
-        renamed = ctx._relabelled(("a", "b", "c"), ("x", "y"))
-        assert renamed == FormalContext.from_bit_rows(("a", "b", "c"), ("x", "y"), ctx._rows)
-        assert renamed._cols == ctx._cols
-        assert ctx.objects == ("g1", "g2", "g3")
-
-    @pytest.mark.parametrize(
-        "objects, attributes",
-        [(("a", "b"), ("x", "y")), (("a", "b", "c"), ("x",)), (("a", "a", "c"), ("x", "y"))],
-    )
-    def test_relabelled_checks_the_labels(self, objects, attributes):
-        with pytest.raises(InputError):
-            build_context(3, 2, [0b01, 0b10, 0b11])._relabelled(objects, attributes)
-
 
 class TestDerivations:
     def test_contranomial_row_readoff(self):
