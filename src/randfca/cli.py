@@ -126,17 +126,22 @@ def _fraction_text(value: Fraction) -> str:
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
-def _parse_prob(text: str, rational: bool) -> float | Fraction:
+def _parse_prob(option: str, text: str, rational: bool) -> float | Fraction:
+    """A probability, as a float or, with --rational, as a Fraction in [0, 1]."""
     try:
         if not rational:
             return float(text)
         # Fraction builds 10**exponent: bound the exponent before that.
         _, marker, exponent = text.lower().rpartition("e")
-        if not marker or abs(int(exponent)) <= _MAX_EXPONENT:
-            return Fraction(text)
+        value = Fraction(text) if not marker or abs(int(exponent)) <= _MAX_EXPONENT else None
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse probability {quote(text)}") from None
-    raise InputError(f"probability {quote(text)} has an exponent beyond ±{_MAX_EXPONENT}")
+    if value is None:
+        raise InputError(f"probability {quote(text)} has an exponent beyond ±{_MAX_EXPONENT}")
+    # Checked here, before float() meets a value out of its range.
+    if not 0 <= value <= 1:
+        raise InputError(f"{option} must be in [0, 1], got {quote(text)}")
+    return value
 
 
 def _parse_n(token: str) -> int:
@@ -223,9 +228,12 @@ def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_expect(args: argparse.Namespace, started: float) -> None:
-    p = _parse_prob(args.p, args.rational)
-    q = _parse_prob(args.q, args.rational)
+    p = _parse_prob("--p", args.p, args.rational)
+    q = _parse_prob("--q", args.q, args.rational)
     params = ModelParams(args.n, float(p), float(q))
+    # The exact sum refuses an input past its size bounds before any work,
+    # so it runs first.
+    exact = expected_concepts_exact(args.n, p, q) if args.rational else None
     report = expected_concepts(params)
     log_value = report.log_value
     payload = {
@@ -240,7 +248,7 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
     }
     lines = [f"expected concepts: {_fmt(report.value)}"]
     if args.rational:
-        payload["exact"] = _fraction_text(expected_concepts_exact(args.n, Fraction(p), Fraction(q)))
+        payload["exact"] = _fraction_text(exact)
         lines.append(f"exact: {payload['exact']}")
     total = report.terms_evaluated + report.terms_skipped_zero
     lines += [

@@ -45,90 +45,74 @@ class CxtDocument:
             object.__setattr__(self, "title", None)
 
 
-class _LineReader:
-    def __init__(self, text: str) -> None:
-        self._lines = text.split("\n")
-        self._next = 0
-
-    @property
-    def line_number(self) -> int:
-        return self._next
-
-    def take(self, what: str) -> str:
-        if self._next >= len(self._lines):
-            raise ParseError(f"unexpected end of file, expected {what}", self._next + 1)
-        line = self._lines[self._next]
-        self._next += 1
-        return line
-
-    def expect_trailing_blank(self) -> None:
-        while self._next < len(self._lines):
-            if self._lines[self._next] != "":
-                raise ParseError("unexpected content after incidence rows", self._next + 1)
-            self._next += 1
+def _need(lines: list[str], count: int, what: str) -> None:
+    """The one end-of-file check: the file must reach line `count`."""
+    if len(lines) < count:
+        raise ParseError(f"unexpected end of file, expected {what}", len(lines) + 1)
 
 
-def _take_count(reader: _LineReader, what: str) -> int:
-    line = reader.take(what)
+def _count(lines: list[str], number: int, what: str) -> int:
+    _need(lines, number, what)
+    line = lines[number - 1]
     if line.isascii() and line.isdigit():
         try:
             return int(line)
         except ValueError:  # past int()'s limit on the digits of a decimal string
             pass
-    raise ParseError(f"expected {what} as a decimal integer, got {quote(line)}", reader.line_number)
+    raise ParseError(f"expected {what} as a decimal integer, got {quote(line)}", number)
 
 
-def _take_labels(reader: _LineReader, count: int, kind: str) -> tuple[str, ...]:
+def _labels(lines: list[str], start: int, count: int, kind: str) -> tuple[str, ...]:
+    """The `count` labels after line `start`, each one new to its section."""
     labels: dict[str, None] = {}
-    for _ in range(count):
-        label = reader.take(f"{kind} label")
+    for number, label in enumerate(lines[start : start + count], start + 1):
         if label in labels:
-            raise ParseError(f"duplicate {kind} label {quote(label)}", reader.line_number)
+            raise ParseError(f"duplicate {kind} label {quote(label)}", number)
         labels[label] = None
+    _need(lines, start + count, f"{kind} label")
     return tuple(labels)
 
 
 def read_cxt(data: str | bytes) -> CxtDocument:
     """Parse a cross-table document, str or UTF-8 bytes, with universal
     newlines and one leading byte-order mark skipped. Raises ParseError
-    with a line number."""
+    with a line number.
+
+    Once the counts are read, each section is a slice at a known offset. A
+    section is checked as far as the file reaches before its end is
+    required, so the error names the first bad line in file order."""
     if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from None
-    data = data.removeprefix("\ufeff")
-    reader = _LineReader(data.replace("\r\n", "\n").replace("\r", "\n"))
-    magic = reader.take("magic line 'B'")
-    if magic != "B":
-        raise ParseError(f"expected magic line 'B', got {quote(magic)}", 1)
-    title = reader.take("title line") or None
-    object_count = _take_count(reader, "object count")
-    attribute_count = _take_count(reader, "attribute count")
-    blank = reader.take("blank separator line")
-    if blank != "":
-        raise ParseError(f"expected a blank line, got {quote(blank)}", reader.line_number)
-    objects = _take_labels(reader, object_count, "object")
-    attributes = _take_labels(reader, attribute_count, "attribute")
-    rows = []
-    for _ in range(object_count):
-        line = reader.take("incidence row")
-        if len(line) != attribute_count:
-            raise ParseError(
-                f"incidence row has {len(line)} characters, expected {attribute_count}",
-                reader.line_number,
-            )
-        illegal = line.translate(_NOT_A_CROSS)
+    lines = data.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0] != "B":
+        raise ParseError(f"expected magic line 'B', got {quote(lines[0])}", 1)
+    _need(lines, 2, "title line")
+    g = _count(lines, 3, "object count")
+    m = _count(lines, 4, "attribute count")
+    _need(lines, 5, "blank separator line")
+    if lines[4] != "":
+        raise ParseError(f"expected a blank line, got {quote(lines[4])}", 5)
+    objects = _labels(lines, 5, g, "object")
+    attributes = _labels(lines, 5 + g, m, "attribute")
+    start = 5 + g + m
+    rows = lines[start : start + g]
+    for number, row in enumerate(rows, start + 1):
+        if len(row) != m:
+            raise ParseError(f"incidence row has {len(row)} characters, expected {m}", number)
+        illegal = row.translate(_NOT_A_CROSS)
         if illegal:
             raise ParseError(
-                f"illegal incidence character {illegal[0]!r} (only 'X' and '.' allowed)",
-                reader.line_number,
+                f"illegal incidence character {illegal[0]!r} (only 'X' and '.' allowed)", number
             )
-        rows.append(line)
-    reader.expect_trailing_blank()
+    _need(lines, start + g, "incidence row")
+    for number, line in enumerate(lines[start + g :], start + g + 1):
+        if line:
+            raise ParseError("unexpected content after incidence rows", number)
     digits = "".join(rows).translate(_CROSS_TO_BIT)
-    context = FormalContext._from_digits(objects, attributes, digits)
-    return CxtDocument(context=context, title=title)
+    return CxtDocument(FormalContext._from_digits(objects, attributes, digits), lines[1])
 
 
 def write_cxt(doc: CxtDocument | FormalContext) -> str:

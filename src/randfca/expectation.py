@@ -152,6 +152,10 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
 
     Sums all C(n+2, 2) collapsed terms, in (a, b) order, with
     :func:`log_sum_exp`; no cutoff is applied.
+
+    ``log_value`` is accurate to about 1e-16 absolute, not relative, where
+    E is near 1 and its log near 0: at (80, 1e-6, 1 - 2**-30) ln E is
+    5.9e-12 and its relative error 1.4e-5. ``value`` is accurate there.
     """
     n, p, q = params.n, params.p, params.q
     log_fact = [math.lgamma(k + 1) for k in range(n + 1)]

@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .context import FormalContext
 from .errors import InputError, SizeError
@@ -172,9 +172,15 @@ def sample_context(params: ModelParams, seed: SeedLike) -> FormalContext:
     appear in ascending universe order.
     """
     sides, digits = _draw(params, seed)
+    return FormalContext._from_digits(*_universe_labels(sides), digits)
+
+
+def _universe_labels(sides: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The labels str(i) of the objects (side "1") and of the attributes
+    (side "0") among elements 1..n, each in ascending order."""
     objects = tuple([str(i) for i, side in enumerate(sides, 1) if side == "1"])
     attributes = tuple([str(i) for i, side in enumerate(sides, 1) if side == "0"])
-    return FormalContext._from_digits(objects, attributes, digits)
+    return objects, attributes
 
 
 def _check_universe_labels(ctx: FormalContext, n: int) -> None:
@@ -231,8 +237,7 @@ def enumerate_sample_space(n: int) -> Iterator[FormalContext]:
 
     def generate() -> Iterator[FormalContext]:
         for sides in itertools.product("10", repeat=n):
-            objects = tuple([str(i) for i, side in enumerate(sides, 1) if side == "1"])
-            attributes = tuple([str(i) for i, side in enumerate(sides, 1) if side == "0"])
+            objects, attributes = _universe_labels(sides)
             for digits in itertools.product("10", repeat=len(objects) * len(attributes)):
                 yield FormalContext._from_digits(objects, attributes, "".join(digits))
 

@@ -129,6 +129,23 @@ class TestExpect:
         code, out, _ = run(capsys, "expect", "--rational", "--n", "1", "--q", "1/2", "--p", "0e-32768")
         assert (code, "\nexact: 1\n" in out) == (0, True)
 
+    # 1e5000 is past the float range; the other has 3003 characters.
+    @pytest.mark.parametrize("p", ["1e5000", "1." + "0" * 3000 + "1"], ids=["1e5000", "3003-chars"])
+    def test_rational_probability_out_of_range_is_an_input_error(self, capsys, p):
+        code, out, err = run(capsys, "expect", "--rational", "--n", "2", "--q", "1/2", "--p", p)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --p must be in [0, 1], got ")
+        assert len(err) < 200
+
+    def test_exact_size_is_refused_before_the_float_sum(self, capsys, monkeypatch):
+        def boom(params):
+            raise AssertionError("the float sum ran")
+
+        monkeypatch.setattr("randfca.cli.expected_concepts", boom)
+        code, out, err = run(capsys, "expect", "--rational", "--n", "200", "--p", "1/2", "--q", "1/2")
+        assert (code, out) == (1, "")
+        assert err == "error: exact evaluation supports n <= 192, got 200\n"
+
 
 class TestParserReuse:
     def test_calls_in_a_row_match_fresh_imports(self, capsys, monkeypatch):

@@ -132,6 +132,91 @@ class TestRead:
             read_cxt(IDENTITY_2X2 + "leftover\n")
         assert err.value.line == 12
 
+    # Files with two faults, a later one often the end of the file: the
+    # first fault in file order is the one reported, line and message.
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            pytest.param("", 1, "expected magic line 'B', got ''", id="empty"),
+            pytest.param("A\n", 1, "expected magic line 'B', got 'A'", id="bad-magic-then-end"),
+            pytest.param("B", 2, "unexpected end of file, expected title line", id="magic-only"),
+            pytest.param(
+                "B\n\nx", 3, "expected object count as a decimal integer, got 'x'",
+                id="bad-count-then-end",
+            ),
+            pytest.param(
+                "B\n\n1\n", 4, "expected attribute count as a decimal integer, got ''",
+                id="empty-count-then-end",
+            ),
+            pytest.param(
+                "B\n\n1\n1", 5, "unexpected end of file, expected blank separator line",
+                id="no-separator",
+            ),
+            pytest.param(
+                "B\n\n1\n1\nfoo", 5, "expected a blank line, got 'foo'", id="bad-separator-then-end"
+            ),
+            pytest.param(
+                "B\n\n3\n1\n\ng\ng\n", 7, "duplicate object label 'g'",
+                id="duplicate-object-then-end",
+            ),
+            pytest.param(
+                "B\r\n\r\n3\r\n1\r\n\r\ng\r\ng", 7, "duplicate object label 'g'",
+                id="crlf-duplicate-object-then-end",
+            ),
+            pytest.param(
+                "B\n\n1\n3\n\ng\nm\nm\n", 8, "duplicate attribute label 'm'",
+                id="duplicate-attribute-then-end",
+            ),
+            pytest.param(
+                "B\n\n" + "9" * 4000 + "\n1\n\ng\ng\n", 7, "duplicate object label 'g'",
+                id="huge-count-duplicate-then-end",
+            ),
+            pytest.param(
+                "B\n\n" + "9" * 4000 + "\n1\n\ng\nh\n", 9,
+                "unexpected end of file, expected object label", id="huge-count-then-end",
+            ),
+            pytest.param(
+                "B\n\n1\n" + "9" * 4000 + "\n\ng\nm\n", 9,
+                "unexpected end of file, expected attribute label",
+                id="huge-attribute-count-then-end",
+            ),
+            pytest.param(
+                "B\n\n2\n1\n\ng\ng\nm\nX\n?\n", 7, "duplicate object label 'g'",
+                id="duplicate-object-then-bad-row",
+            ),
+            pytest.param(
+                "B\n\n2\n2\n\na\nb\nx\ny\nX?\n", 10,
+                "illegal incidence character '?' (only 'X' and '.' allowed)",
+                id="bad-row-then-end",
+            ),
+            pytest.param(
+                "B\n\n3\n2\n\na\nb\nc\nx\ny\nX\n", 11,
+                "incidence row has 1 characters, expected 2", id="short-row-then-end",
+            ),
+            pytest.param(
+                "B\n\n1\n1\n\ng\nm\n?\nzzz\n", 8,
+                "illegal incidence character '?' (only 'X' and '.' allowed)",
+                id="bad-row-then-trailing-content",
+            ),
+            pytest.param(
+                "B\n\n1\n1\n\ng\nm", 8, "unexpected end of file, expected incidence row",
+                id="no-rows",
+            ),
+            pytest.param(
+                "B\n\n1\n1\n\ng\nm\nX\n\n\nx", 11, "unexpected content after incidence rows",
+                id="content-after-blank-lines",
+            ),
+            pytest.param(
+                "B\n\n0\n2\n\nx\ny\nstuff", 8, "unexpected content after incidence rows",
+                id="no-objects-then-content",
+            ),
+        ],
+    )
+    def test_first_fault_in_file_order_is_reported(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            read_cxt(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
 
 class TestWrite:
     def test_contranomial_rows(self):
