@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -23,16 +22,18 @@ from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import Concept, FormalContext, count_concepts, enumerate_concepts
 from .context import _default_labels, _members
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
-from .errors import InputError, InternalError, RandFcaError, quote
+from .errors import InputError, InternalError, RandFcaError, fraction_text, quote
 from .expectation import (
     MAX_BRUTEFORCE_N,
     MAX_EXACT_BITS,
+    MAX_EXACT_N,
+    MAX_EXPECT_N,
     expected_concepts,
     expected_concepts_bruteforce,
     expected_concepts_exact,
 )
-from .model import ModelParams, Seed, _draw
-from .montecarlo import compare_with_exact, estimate
+from .model import MAX_DRAW_N, ModelParams, Seed, _draw
+from .montecarlo import MAX_MC_N, MAX_MC_SAMPLES, compare_with_exact, estimate
 
 DEFAULT_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VERIFY_MAX_N = 4
@@ -99,8 +100,9 @@ def _emit(args: argparse.Namespace, started: float, payload: dict, text: str) ->
 
 
 def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
-    """The payload's "concepts" array, byte for byte as json.dumps(indent=2)
-    writes it at that depth, from labels encoded once instead of per use."""
+    """The elements of the payload's "concepts" array, without its brackets,
+    byte for byte as json.dumps(indent=2) writes them at that depth, from
+    labels encoded once instead of per use."""
     objects = ["          " + json.dumps(label) for label in ctx.objects]
     attributes = ["          " + json.dumps(label) for label in ctx.attributes]
 
@@ -110,20 +112,11 @@ def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
         return "[\n" + ",\n".join(_members(lines, mask)) + "\n        ]"
 
     # Never empty: every context has at least the concept closing the empty set.
-    blocks = [
+    return ",\n".join([
         f'      {{\n        "extent": {side(objects, c._extent)},'
         f'\n        "intent": {side(attributes, c._intent)}\n      }}'
         for c in concepts
-    ]
-    return "[\n" + ",\n".join(blocks) + "\n    ]"
-
-
-def _fraction_text(value: Fraction) -> str:
-    """str(value), with each integer written through Decimal, whose
-    conversion has no digit limit."""
-    if value.denominator == 1:
-        return str(Decimal(value.numerator))
-    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+    ])
 
 
 def _parse_prob(option: str, text: str, rational: bool) -> float | Fraction:
@@ -218,7 +211,7 @@ def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
         payload = {"count": len(concepts), "concepts": _LISTING_PLACEHOLDER}
         text = _envelope_json(args, payload, started)
         head, _, tail = text.rpartition(json.dumps(_LISTING_PLACEHOLDER))
-        print(head + _concept_listing(ctx, concepts) + tail)
+        print(head, "[\n", _concept_listing(ctx, concepts), "\n    ]", tail, sep="")
         return
     print(f"concepts: {len(concepts)}")
     for concept in concepts:
@@ -248,7 +241,7 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
     }
     lines = [f"expected concepts: {_fmt(report.value)}"]
     if args.rational:
-        payload["exact"] = _fraction_text(exact)
+        payload["exact"] = fraction_text(exact)
         lines.append(f"exact: {payload['exact']}")
     total = report.terms_evaluated + report.terms_skipped_zero
     lines += [
@@ -368,7 +361,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     gen = sub.add_parser("gen", help="sample a random context and write it out")
-    gen.add_argument("--n", type=int, required=True, help="universe size")
+    gen.add_argument("--n", type=int, required=True, help=f"universe size, at most {MAX_DRAW_N}")
     gen.add_argument("--p", type=float, required=True, help="object probability")
     gen.add_argument("--q", type=float, required=True, help="incidence probability")
     gen.add_argument("--seed", type=int, required=True, help="64-bit master seed")
@@ -384,7 +377,8 @@ def _build_parser() -> _Parser:
     concepts.set_defaults(func=_cmd_concepts)
 
     expect = sub.add_parser("expect", help="exact average concept count")
-    expect.add_argument("--n", type=int, required=True)
+    n_help = f"universe size, at most {MAX_EXPECT_N} ({MAX_EXACT_N} with --rational)"
+    expect.add_argument("--n", type=int, required=True, help=n_help)
     expect.add_argument("--p", required=True, help="probability (float, or fraction with --rational)")
     expect.add_argument("--q", required=True, help="probability (float, or fraction with --rational)")
     expect.add_argument("--rational", action="store_true", help="also evaluate exactly over rationals")
@@ -392,10 +386,10 @@ def _build_parser() -> _Parser:
     expect.set_defaults(func=_cmd_expect)
 
     mc = sub.add_parser("mc", help="Monte Carlo estimate of the average concept count")
-    mc.add_argument("--n", type=int, required=True)
+    mc.add_argument("--n", type=int, required=True, help=f"universe size, at most {MAX_MC_N}")
     mc.add_argument("--p", type=float, required=True)
     mc.add_argument("--q", type=float, required=True)
-    mc.add_argument("--samples", type=int, required=True)
+    mc.add_argument("--samples", type=int, required=True, help=f"2 to {MAX_MC_SAMPLES}")
     mc.add_argument("--seed", type=int, required=True)
     mc.add_argument("--workers", type=int, default=1)
     mc.add_argument("--compare-exact", action="store_true")

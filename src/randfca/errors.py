@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and how their messages quote input."""
+"""Exception types shared across the package, and how messages quote input
+and write exact fractions."""
+
+from decimal import Decimal
+from fractions import Fraction
 
 
 class RandFcaError(Exception):
@@ -45,3 +49,11 @@ def quote(text: str) -> str:
     if len(text) <= _QUOTE_LIMIT:
         return repr(text)
     return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def fraction_text(value: Fraction) -> str:
+    """str(value), with each integer written through Decimal, whose
+    conversion has no digit limit."""
+    if value.denominator == 1:
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"

@@ -46,6 +46,9 @@ _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 
 MAX_SAMPLE_SPACE_N = 6
+# A draw at this n has up to n**2 / 4 incidence digits; at p = 1/2 `gen`
+# takes about 1.3 s and writes 6 MB.
+MAX_DRAW_N = 5000
 
 # Words per chunk, at 16 bytes of lane each: this bounds the integers a
 # sampling call works on, whatever the context size.
@@ -156,9 +159,12 @@ class ModelParams:
 
 def _draw(params: ModelParams, seed: SeedLike) -> tuple[str, bytes]:
     """The side digits of elements 1..n ("1" object) and the row-major
-    incidence digits of the objects against the attributes they leave."""
+    incidence digits of the objects against the attributes they leave;
+    n is bounded by MAX_DRAW_N, checked before any draw."""
     master = _master_of(seed)
     n = params.n
+    if n > MAX_DRAW_N:
+        raise SizeError(f"drawing a context supports n <= {MAX_DRAW_N}, got {n}")
     sides = b"".join(_bernoulli_digits(master, 0, n, params.p)).decode()
     g = sides.count("1")
     # The incidence words follow, one per pair in row-major order.

@@ -137,6 +137,14 @@ class TestExpect:
         assert err.startswith("error: --p must be in [0, 1], got ")
         assert len(err) < 200
 
+    @pytest.mark.parametrize("n", ["2001", "1000000000"])
+    def test_n_past_the_float_bound_exits_one_at_once(self, capsys, n):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "expect", "--n", n, "--p", "0.5", "--q", "0.5")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: float evaluation supports n <= 2000, got {n}\n"
+
     def test_exact_size_is_refused_before_the_float_sum(self, capsys, monkeypatch):
         def boom(params):
             raise AssertionError("the float sum ran")
@@ -238,6 +246,13 @@ class TestGenAndConcepts:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_gen_past_the_draw_bound_exits_one_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--n", "5001", "--p", "0.5", "--q", "0.5", "--seed", "1")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: drawing a context supports n <= 5000, got 5001\n"
 
     def test_gen_labels_and_json_format(self, capsys):
         code, out, _ = run(
@@ -476,6 +491,26 @@ class TestMc:
         payload = envelope["payload"]
         assert payload["min_count"] >= 1
         assert abs(payload["z"]) < 6
+
+    def test_degenerate_z_is_null_in_json(self, capsys, schema):
+        # The --json form of the "mc-degenerate" text report, whose z is -inf.
+        envelope = run_json(
+            capsys, "mc", "--compare-exact", "--n", "2", "--p", ".5", "--q", ".5",
+            "--samples", "2", "--seed", "1", "--json",
+        )
+        jsonschema.validate(envelope, schema)
+        payload = envelope["payload"]
+        assert (payload["stderr"], payload["exact"], payload["z"]) == (0.0, 1.25, None)
+
+    @pytest.mark.parametrize("samples", ["100001", "1000000000000"])
+    def test_samples_past_the_bound_exit_one_at_once(self, capsys, samples):
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "mc", "--n", "1", "--p", ".5", "--q", ".5", "--samples", samples, "--seed", "1"
+        )
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: Monte Carlo supports at most 100000 samples, got {samples}\n"
 
     def test_workers_flag_matches_serial(self, capsys):
         base = ["mc", "--n", "5", "--p", "0.5", "--q", "0.5", "--samples", "300",

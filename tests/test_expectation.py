@@ -164,6 +164,12 @@ class TestExpectedConcepts:
         value = expected_concepts(ModelParams(n, 0.5, 0.5)).value
         assert 1.0 <= value <= 2.0**n
 
+    def test_n_is_bounded_before_any_work(self):
+        # n = 10**9 would first build two tables of n + 1 floats.
+        for n in (2001, 10**9):
+            with pytest.raises(SizeError, match=f"n <= 2000, got {n}"):
+                expected_concepts(ModelParams(n, 0.5, 0.5))
+
 
 class TestAgainstCompositionSum:
     """The collapsed (a, b) sum against the 4-part composition-sum oracle."""
@@ -273,6 +279,20 @@ class TestExactRational:
             )
         with pytest.raises(InputError):
             expected_concepts_exact(3, Fraction(3, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "p",
+        [Fraction(10**5000), Fraction(10**3001 + 1, 10**3001)],
+        ids=["5001-digit-integer", "3002-digit-parts"],
+    )
+    def test_out_of_range_probability_is_quoted_short(self, p):
+        # The first is past the interpreter's 4300-digit limit for int-to-str;
+        # str() of the second is 6,005 characters long.
+        with pytest.raises(InputError) as raised:
+            expected_concepts_exact(2, p, Fraction(1, 2))
+        message = str(raised.value)
+        assert message.startswith("p must be in [0, 1], got '1000")
+        assert len(message) < 200
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), probabilities, probabilities)

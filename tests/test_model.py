@@ -252,3 +252,12 @@ def test_pinned_batch(params, digest):
         ctx = sample_context(ModelParams(*params), derive_seed(8, k))
         h.update(repr((ctx.objects, ctx._rows)).encode())
     assert h.hexdigest() == digest
+
+
+def test_draw_size_is_bounded_before_any_draw(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(model, "_bernoulli_digits", boom)
+    with pytest.raises(SizeError, match="n <= 5000, got 5001"):
+        sample_context(ModelParams(5001, 0.5, 0.5), Seed(1))

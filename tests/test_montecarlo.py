@@ -57,7 +57,7 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
     monkeypatch.setattr("randfca.montecarlo.ProcessPoolExecutor", InlinePool)
@@ -99,3 +99,13 @@ def test_guards():
         estimate(ModelParams(3, 0.5, 0.5), 10, Seed(0), workers=0)
     with pytest.raises(SizeError):
         estimate(ModelParams(41, 0.5, 0.5), 10, Seed(0))
+
+
+def test_sample_count_is_bounded_before_any_sample(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
+    for samples in (10**5 + 1, 10**12):
+        with pytest.raises(SizeError, match=f"at most 100000 samples, got {samples}"):
+            estimate(ModelParams(1, 0.5, 0.5), samples, Seed(1))
