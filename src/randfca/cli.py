@@ -158,7 +158,10 @@ def _parse_n(token: str) -> int:
 
 
 def _parse_ns(text: str) -> list[int]:
-    return [_parse_n(token.strip()) for token in text.split(",") if token.strip()]
+    ns = [_parse_n(token.strip()) for token in text.split(",") if token.strip()]
+    if not ns:
+        raise InputError(f"--ns {quote(text)} lists no n value")
+    return ns
 
 
 def _read_input(path: str | None) -> bytes:

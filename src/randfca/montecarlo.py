@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .context import count_concepts
@@ -82,12 +80,17 @@ def estimate(
     if workers == 1:
         counts = list(map(count, range(samples)))
     else:
+        # Imported here, not at the top, so that start-up never loads the pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         block = -(-samples // workers)
         # A fork pool starts all its processes at the first submit: no more
         # than there are blocks, or CPUs to run them.
         with ProcessPoolExecutor(min(-(-samples // block), os.cpu_count() or 1)) as pool:
             counts = list(pool.map(count, range(samples), chunksize=block))
     mean = math.fsum(counts) / samples
+    import statistics  # imported here, not at the top, to keep start-up short
+
     stderr = statistics.stdev(counts) / math.sqrt(samples)
     return McEstimate(
         params=params,

@@ -21,6 +21,7 @@ import randfca
 import randfca.cli
 from randfca import CxtDocument, FormalContext, InternalError, enumerate_concepts, write_cxt
 from randfca.cli import main
+from randfca.errors import quote
 from test_expectation import fraction_loop
 
 
@@ -177,6 +178,28 @@ class TestParserReuse:
             assert run(capsys, *argv) == want, argv
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # Only `mc --workers W` with W > 1 needs the pool; every other command
+    # would pay for loading it at start-up. Modules that the interpreter's
+    # own start-up loads are already there before the import, so they drop out.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import randfca.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(randfca.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    added = result.stdout.split()
+    assert "randfca.cli" in added
+    unwanted = ("concurrent", "multiprocessing", "statistics")
+    assert [name for name in added if name.split(".")[0] in unwanted] == []
+
+
 class TestAsymptotic:
     def test_reference_gaps(self, capsys, schema):
         envelope = run_json(capsys, "asymptotic", "--ns", "10,100,1000", "--json")
@@ -213,6 +236,13 @@ class TestAsymptotic:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ns", ["", ",", " , ,", "," * 100])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_ns_without_a_value_is_an_input_error(self, capsys, ns, json_flag):
+        code, out, err = run(capsys, "asymptotic", "--ns", ns, *json_flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: --ns {quote(ns)} lists no n value\n"
 
     def test_largest_supported_n(self, capsys):
         (row,) = run_json(capsys, "asymptotic", "--ns", "10^12", "--json")["payload"]["rows"]

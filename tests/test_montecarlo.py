@@ -60,7 +60,7 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr("randfca.montecarlo.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     params = ModelParams(6, 0.5, 0.5)
     result = estimate(params, 8, Seed(3), workers=10**6)
     assert len(sizes) == 1
