@@ -20,7 +20,6 @@ and :mod:`randfca.cli`.
 from .asymptotics import (
     DEFAULT_TABLE_NS,
     AsymptoticRow,
-    SplitIndices,
     bounded_correction,
     log_split_term,
     relative_gap,
@@ -95,7 +94,6 @@ __all__ = [
     "Seed",
     "SerializationError",
     "SizeError",
-    "SplitIndices",
     "bounded_correction",
     "compare_with_exact",
     "composition_count",

@@ -29,6 +29,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
 from .errors import DomainError, InputError, SizeError
+from .expectation import Composition4
 
 _LN2 = math.log(2.0)
 # Beyond this, cancellation among the log-gamma terms of log_split_term
@@ -38,27 +39,17 @@ MAX_SPLIT_N = 10**12
 
 
 @dataclass(frozen=True)
-class SplitIndices:
-    """The composition (a, b, c, d) singled out at p = q = 1/2."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-@dataclass(frozen=True)
 class AsymptoticRow:
     """One row of the growth-diagnostic table."""
 
     n: int
-    split: SplitIndices
+    split: Composition4
     log_term: float
     gap: float
     exceeds_threshold: bool
 
 
-def split_indices(n: int) -> SplitIndices:
+def split_indices(n: int) -> Composition4:
     """The distinguished composition for a given n.
 
     a = floor(log2 n) via bit length (exact, unlike floating log);
@@ -70,7 +61,7 @@ def split_indices(n: int) -> SplitIndices:
     a = n.bit_length() - 1
     b = a + (n & 1)
     c = (n >> 1) - a
-    return SplitIndices(a, b, c, c)
+    return Composition4(a, b, c, c)
 
 
 def bounded_correction(n: int) -> float:
@@ -80,12 +71,9 @@ def bounded_correction(n: int) -> float:
     for every n > 2, so it never disturbs the leading growth.
     """
     split = split_indices(n)
-    total = 0.0
-    if split.d:
-        total += split.d * math.log1p(-(2.0 ** -split.a))
-    if split.c:
-        total += split.c * math.log1p(-(2.0 ** -split.b))
-    return total
+    if not split.c:
+        return 0.0
+    return split.d * math.log1p(-(0.5**split.a)) + split.c * math.log1p(-(0.5**split.b))
 
 
 def log_split_term(n: int) -> float:
@@ -95,8 +83,6 @@ def log_split_term(n: int) -> float:
     with the multinomial via log-gamma, for 1 <= n <= MAX_SPLIT_N. n = 1
     is degenerate (the term is just 1/2) and triggers a warning.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
     if n > MAX_SPLIT_N:
         raise SizeError(f"the split term is evaluated for n <= 10**12, got {n}")
     if n == 1:

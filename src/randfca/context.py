@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import InputError, SizeError
+from .errors import InputError, SizeError, quote
 
 MAX_SCAN_OBJECTS = 20
 
@@ -216,10 +216,10 @@ def _indices_to_mask(indices: Iterable[int], size: int | None, kind: str) -> int
         try:
             i = operator.index(i)
         except TypeError:
-            raise InputError(f"{kind} index {i!r} is not an integer") from None
+            raise InputError(f"{kind} index {quote(i)} is not an integer") from None
         if i < 0 or size is not None and i >= size:
             bound = "inf" if size is None else size
-            raise InputError(f"{kind} index {i} out of range [0, {bound})")
+            raise InputError(f"{kind} index {quote(i)} out of range [0, {bound})")
         mask |= 1 << i
     return mask
 
@@ -337,9 +337,9 @@ _TRAVERSALS = {
 def _traversal(algorithm: str) -> Callable[[FormalContext], Iterator[tuple[int, int]]]:
     try:
         return _TRAVERSALS[algorithm]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable algorithm
         raise InputError(
-            f"unknown algorithm {algorithm!r}; expected one of {tuple(_TRAVERSALS)}"
+            f"unknown algorithm {quote(algorithm)}; expected one of {tuple(_TRAVERSALS)}"
         ) from None
 
 

@@ -124,7 +124,7 @@ def write_cxt(doc: CxtDocument | FormalContext) -> str:
     for label in (title, *ctx.objects, *ctx.attributes):
         if "\n" in label or "\r" in label:
             raise SerializationError(
-                f"label {label!r} contains a line break and cannot be serialized"
+                f"label {quote(label)} contains a line break and cannot be serialized"
             )
     lines = [
         "B",

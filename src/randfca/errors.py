@@ -39,16 +39,26 @@ class InternalError(RandFcaError):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
-# Error messages quote an input text in full up to this many characters.
+# Error messages show a caller's value in full up to this many characters.
 _QUOTE_LIMIT = 40
 
 
-def quote(text: str) -> str:
-    """repr of an input text for an error message; a long text is cut to
-    its first _QUOTE_LIMIT characters, followed by its length."""
+def quote(value: object) -> str:
+    """How an error message shows a caller's value: its repr, or
+    fraction_text for an int or Fraction past the int-to-str digit limit.
+    A form longer than _QUOTE_LIMIT characters (for a text, the text itself)
+    is cut to its first _QUOTE_LIMIT characters, followed by its length."""
+    if isinstance(value, str):
+        text, show = value, repr
+    else:
+        try:
+            text = repr(value)
+        except ValueError:
+            text = fraction_text(value)
+        show = str
     if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_QUOTE_LIMIT])}... ({len(text)} characters)"
 
 
 def fraction_text(value: Fraction) -> str:

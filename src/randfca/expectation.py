@@ -67,9 +67,9 @@ class Composition4:
     d: int
 
     def __post_init__(self) -> None:
-        for part in (self.a, self.b, self.c, self.d):
+        for name, part in vars(self).items():
             if part < 0:
-                raise InputError(f"composition parts must be >= 0, got {self}")
+                raise InputError(f"composition part {name} must be >= 0, got {quote(part)}")
 
     @property
     def total(self) -> int:

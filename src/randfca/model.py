@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .context import FormalContext
-from .errors import InputError, SizeError
+from .errors import InputError, SizeError, quote
 from .logspace import LogValue
 
 MASK64 = (1 << 64) - 1
@@ -146,15 +146,16 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"n must be a positive integer, got {self.n!r}")
-        p = float(self.p)
-        q = float(self.q)
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise InputError(f"p must be in [0, 1], got {self.p!r}")
-        if not (math.isfinite(q) and 0.0 <= q <= 1.0):
-            raise InputError(f"q must be in [0, 1], got {self.q!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+            raise InputError(f"n must be a positive integer, got {quote(self.n)}")
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            try:
+                x = float(value)
+            except (TypeError, ValueError, OverflowError):
+                x = math.nan  # out of range, like any value float() refuses
+            if not 0.0 <= x <= 1.0:
+                raise InputError(f"{name} must be in [0, 1], got {quote(value)}")
+            object.__setattr__(self, name, x)
 
 
 def _draw(params: ModelParams, seed: SeedLike) -> tuple[str, bytes]:
@@ -198,9 +199,7 @@ def _check_universe_labels(ctx: FormalContext, n: int) -> None:
             "context labels must be the integers 1..n, got non-numeric labels"
         ) from None
     if numbers != list(range(1, n + 1)):
-        raise InputError(
-            f"context labels must partition 1..{n}, got {sorted(labels)}"
-        )
+        raise InputError(f"context labels must partition 1..{n}, got {quote(sorted(labels))}")
 
 
 def context_log_probability(params: ModelParams, ctx: FormalContext) -> LogValue:

@@ -72,6 +72,14 @@ class TestLogSplitTerm:
             value = log_split_term(1)
         assert value == pytest.approx(math.log(0.5), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_nonpositive(self, n):
+        with pytest.raises(InputError, match=f"^n must be >= 1, got {n}$"):
+            log_split_term(n)
+
+    def test_split_is_a_composition(self):
+        assert split_indices(10) == Composition4(3, 3, 2, 2)
+
     def test_refuses_n_past_its_accuracy(self):
         assert MAX_SPLIT_N == 10**12
         assert math.isfinite(log_split_term(MAX_SPLIT_N))

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import io
@@ -243,6 +244,29 @@ class TestAsymptotic:
         code, out, err = run(capsys, "asymptotic", "--ns", ns, *json_flag)
         assert (code, out) == (1, "")
         assert err == f"error: --ns {quote(ns)} lists no n value\n"
+
+    def test_default_json_rows(self, capsys):
+        # (n, a, b, c, d, log_term, gap, gap_3dp, exceeds_threshold) per row.
+        want = [
+            (10, 3, 3, 2, 2, -3.569322727637537, 1.4666377839817168, 1.467, False),
+            (10**2, 6, 6, 44, 44, 4.292458863480693, 0.8597056329217763, 0.86, False),
+            (10**3, 9, 9, 491, 491, 24.369783002250344, 0.6460000209802571, 0.646, False),
+            (10**4, 13, 13, 4987, 4987, 53.121005569784835, 0.5659493723762461, 0.566, False),
+            (10**5, 16, 16, 49984, 49984, 99.93104732164498, 0.47741791895619334, 0.477, False),
+            (10**6, 19, 19, 499981, 499981, 160.70239891878364, 0.41640180135766314, 0.416, False),
+            (10**7, 23, 23, 4999977, 4999977, 230.18239210133257, 0.3858561564527796, 0.386, False),
+            (10**8, 26, 26, 49999974, 49999974, 319.8145877221333, 0.34670041994187006, 0.347, False),
+            (10**9, 29, 29, 499999971, 499999971, 423.845956841551, 0.31590390801383994, 0.316, False),
+            (10**10, 33, 33, 4999999967, 4999999967, 536.109349782857, 0.29911387105045195, 0.299, True),
+        ]
+        keys = ["n", "a", "b", "c", "d", "log_term", "gap", "gap_3dp", "exceeds_threshold"]
+        rows = run_json(capsys, "asymptotic", "--json")["payload"]["rows"]
+        assert [list(row) for row in rows] == [keys] * len(want)
+        for row, values in zip(rows, want):
+            expected = dict(zip(keys, values))
+            for key in ("log_term", "gap"):
+                assert row.pop(key) == pytest.approx(expected.pop(key), rel=1e-12)
+            assert row == expected
 
     def test_largest_supported_n(self, capsys):
         (row,) = run_json(capsys, "asymptotic", "--ns", "10^12", "--json")["payload"]["rows"]
@@ -692,6 +716,27 @@ def test_readme_examples_are_what_the_program_prints(capsys, tmp_path):
     envelope = run_json(capsys, "expect", "--n", "2", "--p", "0.5", "--q", "0.5", "--json")
     payload = envelope["payload"]
     assert f'"payload": {{"value": {payload["value"]}, "log_value": {payload["log_value"]!r},' in readme
+
+
+def test_readme_library_example_gives_its_commented_results():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    source = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = source.splitlines()
+    namespace = {}
+    checked = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        try:
+            expected = eval(comment, namespace)
+        except SyntaxError:  # no comment, or one in words
+            continue
+        assert value == expected, comment
+        checked.append(comment)
+    assert checked == ["256", "1.25", "Fraction(5, 4)"]
 
 
 class TestParams:

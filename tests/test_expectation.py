@@ -280,6 +280,13 @@ class TestExactRational:
         with pytest.raises(InputError):
             expected_concepts_exact(3, Fraction(3, 2), Fraction(1, 2))
 
+    def test_n_and_q_are_checked(self):
+        half = Fraction(1, 2)
+        with pytest.raises(InputError, match=r"^n must be >= 1, got 0$"):
+            expected_concepts_exact(0, half, half)
+        with pytest.raises(InputError, match=r"^q must be in \[0, 1\], got '3/2'$"):
+            expected_concepts_exact(2, half, Fraction(3, 2))
+
     @pytest.mark.parametrize(
         "p",
         [Fraction(10**5000), Fraction(10**3001 + 1, 10**3001)],

@@ -38,6 +38,12 @@ def test_log_one_minus_pow_conventions():
     assert log_one_minus_pow(0.5, 3) == pytest.approx(math.log(7 / 8), rel=1e-15)
 
 
+@pytest.mark.parametrize("base,exponent", [(0.5, -1), (1.5, 1), (-0.5, 1)])
+def test_log_one_minus_pow_rejects_arguments_outside_its_domain(base, exponent):
+    with pytest.raises(InputError):
+        log_one_minus_pow(base, exponent)
+
+
 def test_log_one_minus_pow_near_one_is_stable():
     # naive 1 - q**e would lose most digits here; oracle via exact rationals
     from fractions import Fraction

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,31 @@ class TestParams:
             ModelParams(3, 0.5, 1.5)
         with pytest.raises(InputError):
             ModelParams(3, float("nan"), 0.5)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 10**400, 0.5),  # float() overflows
+            (2, Fraction(10**5000), 0.5),
+            (2, "abc", 0.5),  # float() refuses a text
+            (2, "x" * 100000, 0.5),
+            (2, None, 0.5),
+            (2, Fraction(10**5000 + 1, 10**4999), 0.5),  # past the int-to-str limit
+            (-(10**5000), 0.5, 0.5),
+        ],
+        ids=["int-overflow", "fraction-overflow", "text", "long-text", "none", "huge-fraction", "huge-n"],
+    )
+    def test_unusable_values_are_input_errors_with_short_messages(self, args):
+        with pytest.raises(InputError) as raised:
+            ModelParams(*args)
+        assert len(str(raised.value)) < 200
+
+    def test_short_values_are_shown_by_their_repr(self):
+        with pytest.raises(InputError, match=r"^p must be in \[0, 1\], got 2\.0$"):
+            ModelParams(2, 2.0, 0.5)
+        with pytest.raises(InputError, match=r"^q must be in \[0, 1\], got 'abc'$"):
+            ModelParams(2, 0.5, "abc")
+        assert ModelParams(2, "0.25", "1") == ModelParams(2, 0.25, 1.0)
 
     def test_seed_wraps_to_64_bits(self):
         assert Seed(2**64 + 5).master == 5
