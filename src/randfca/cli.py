@@ -70,17 +70,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _json_safe(value: Any) -> Any:
-    """Replace non-finite floats with null so output is strict JSON."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def _envelope_json(args: argparse.Namespace, payload: dict, started: float) -> str:
     """The report envelope; its params are the command's options as parsed."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "json", "func")}
@@ -91,7 +80,7 @@ def _envelope_json(args: argparse.Namespace, payload: dict, started: float) -> s
         "payload": payload,
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
     }
-    return json.dumps(_json_safe(envelope), indent=2, allow_nan=False)
+    return json.dumps(envelope, indent=2, allow_nan=False)
 
 
 def _emit(args: argparse.Namespace, started: float, payload: dict, text: str) -> None:
@@ -237,7 +226,7 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
         "p": params.p,
         "q": params.q,
         "value": report.value,
-        "log_value": log_value.log,  # -inf is written as null
+        "log_value": log_value.log,
         "is_zero": log_value.is_zero,
         "terms_evaluated": report.terms_evaluated,
         "terms_skipped_zero": report.terms_skipped_zero,
@@ -248,7 +237,7 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
         lines.append(f"exact: {payload['exact']}")
     total = report.terms_evaluated + report.terms_skipped_zero
     lines += [
-        f"log: {'-inf (zero)' if log_value.is_zero else _fmt(log_value.log)}",
+        f"log: {_fmt(log_value.log)}",
         f"terms: {total} total = {report.terms_evaluated} evaluated"
         f" + {report.terms_skipped_zero} zero",
     ]
@@ -282,7 +271,7 @@ def _cmd_mc(args: argparse.Namespace, started: float) -> None:
         f"samples: {result.samples}  seed: {result.seed.master}  workers: {args.workers}",
     ]
     if args.compare_exact:
-        payload.update(exact=outcome.exact, z=outcome.z)
+        payload.update(exact=outcome.exact, z=outcome.z if math.isfinite(outcome.z) else None)
         lines += [f"exact: {_fmt(outcome.exact)}", f"z: {_fmt(outcome.z)}"]
     _emit(args, started, payload, "\n".join(lines))
 

@@ -48,6 +48,11 @@ from .errors import InputError, SizeError, quote
 
 MAX_SCAN_OBJECTS = 20
 
+# Concept(extent, intent) takes indices below this bound, so its masks stay
+# under 2 MB and a larger index is refused before any mask is built; a
+# context that wide would need about a gigabyte for its labels alone.
+MAX_CONCEPT_INDEX = 2**24
+
 _T = TypeVar("_T")
 
 
@@ -181,8 +186,8 @@ class Concept:
     _intent: int
 
     def __init__(self, extent: Iterable[int], intent: Iterable[int]) -> None:
-        object.__setattr__(self, "_extent", _indices_to_mask(extent, None, "extent"))
-        object.__setattr__(self, "_intent", _indices_to_mask(intent, None, "intent"))
+        object.__setattr__(self, "_extent", _indices_to_mask(extent, MAX_CONCEPT_INDEX, "extent"))
+        object.__setattr__(self, "_intent", _indices_to_mask(intent, MAX_CONCEPT_INDEX, "intent"))
 
     @classmethod
     def _from_masks(cls, pairs: Iterable[tuple[int, int]]) -> list["Concept"]:
@@ -208,18 +213,16 @@ class Concept:
         return f"Concept(extent={self.extent!r}, intent={self.intent!r})"
 
 
-def _indices_to_mask(indices: Iterable[int], size: int | None, kind: str) -> int:
-    """The bit mask of the indices, each an int in [0, size), or >= 0 when
-    size is None."""
+def _indices_to_mask(indices: Iterable[int], size: int, kind: str) -> int:
+    """The bit mask of the indices, each an int in [0, size)."""
     mask = 0
     for i in indices:
         try:
             i = operator.index(i)
         except TypeError:
             raise InputError(f"{kind} index {quote(i)} is not an integer") from None
-        if i < 0 or size is not None and i >= size:
-            bound = "inf" if size is None else size
-            raise InputError(f"{kind} index {quote(i)} out of range [0, {bound})")
+        if not 0 <= i < size:
+            raise InputError(f"{kind} index {quote(i)} out of range [0, {size})")
         mask |= 1 << i
     return mask
 

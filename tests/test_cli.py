@@ -3,6 +3,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,15 @@ from hypothesis import strategies as st
 
 import randfca
 import randfca.cli
-from randfca import CxtDocument, FormalContext, InternalError, enumerate_concepts, write_cxt
+from randfca import (
+    CxtDocument,
+    ExpectationReport,
+    FormalContext,
+    InternalError,
+    LogValue,
+    enumerate_concepts,
+    write_cxt,
+)
 from randfca.cli import main
 from randfca.errors import quote
 from test_expectation import fraction_loop
@@ -45,6 +54,8 @@ def run_json(capsys, *argv):
 
 
 cached_fraction_loop = functools.cache(fraction_loop)
+
+FINITE_GRID = ["0", "1e-300", "0.5", repr(1 - 2**-30), "1"]
 
 
 class TestExpect:
@@ -155,6 +166,30 @@ class TestExpect:
         code, out, err = run(capsys, "expect", "--rational", "--n", "200", "--p", "1/2", "--q", "1/2")
         assert (code, out) == (1, "")
         assert err == "error: exact evaluation supports n <= 192, got 200\n"
+
+    # 1 <= E <= 2**(n // 2), so every expect report holds finite numbers,
+    # from p or q of 0 and 1e-300 up to 1 - 2**-30 and 1, and at the
+    # largest n, where the computed E sits just below 1.
+    @pytest.mark.parametrize(
+        "n,p,q",
+        [(n, p, q) for n in (1, 2, 40, 200) for p in FINITE_GRID for q in FINITE_GRID]
+        + [(2000, "0.1", "1")],
+    )
+    def test_json_values_are_finite_numbers(self, capsys, schema, n, p, q):
+        envelope = run_json(capsys, "expect", "--json", "--n", str(n), "--p", p, "--q", q)
+        jsonschema.validate(envelope, schema)
+        for key in ("value", "log_value"):
+            value = envelope["payload"][key]
+            assert type(value) is float and math.isfinite(value)
+
+    def test_non_finite_value_is_an_internal_error(self, capsys, monkeypatch):
+        def infinite(params):
+            return ExpectationReport(params, LogValue(math.inf), math.inf, 1, 0)
+
+        monkeypatch.setattr("randfca.cli.expected_concepts", infinite)
+        code, out, err = run(capsys, "expect", "--json", "--n", "2", "--p", "0.5", "--q", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: ValueError: ")
 
 
 class TestParserReuse:

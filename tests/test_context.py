@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from randfca import (
     read_cxt,
     write_cxt,
 )
+from randfca.context import MAX_CONCEPT_INDEX
 
 from conftest import build_context, contexts, random_context
 
@@ -163,6 +165,22 @@ class TestConcept:
             Concept([0, index], [])
         with pytest.raises(InputError):
             Concept([], [index])
+
+    @pytest.mark.parametrize(
+        "index", [10**5000, 2**62, MAX_CONCEPT_INDEX], ids=["10^5000", "2^62", "bound"]
+    )
+    def test_index_past_the_bound_is_refused_before_its_mask_is_built(self, index):
+        for extent, intent in (([0, index], []), ([], [index])):
+            started = time.perf_counter()
+            with pytest.raises(InputError) as raised:
+                Concept(extent, intent)
+            assert time.perf_counter() - started < 1.0
+            assert len(str(raised.value)) < 200
+
+    def test_largest_index_below_the_bound_is_taken(self):
+        top = MAX_CONCEPT_INDEX - 1
+        assert MAX_CONCEPT_INDEX == 2**24
+        assert Concept([top], [top])._extent == 1 << top
 
 
 class TestEnumeration:

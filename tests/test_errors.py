@@ -51,7 +51,7 @@ def test_messages_quoting_a_callers_value_stay_short(call, error):
 def test_short_values_keep_their_repr():
     with pytest.raises(InputError, match=r"^unknown algorithm 'bogus'; expected one of"):
         enumerate_concepts(CTX, "bogus")
-    with pytest.raises(InputError, match=r"^extent index -1 out of range \[0, inf\)$"):
+    with pytest.raises(InputError, match=r"^extent index -1 out of range \[0, 16777216\)$"):
         Concept([-1], [])
     with pytest.raises(InputError, match=r"^composition part b must be >= 0, got -1$"):
         Composition4(1, -1, 0, 0)

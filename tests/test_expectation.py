@@ -232,6 +232,16 @@ def test_log_value_against_high_precision_reference(n, p, q):
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [40, 200, 1000])
+def test_log_value_at_q_one_is_within_ulps_of_ln_n_factorial(n, p):
+    """At q = 1 every context has the one concept (G, M), so E = 1 and
+    ln E = 0. The float sum's error there is absolute, a few ulp of ln n!:
+    at most 1.6 ulp over p from .01 to .99 at these n."""
+    got = expected_concepts(ModelParams(n, p, 1.0)).log_value.log
+    assert abs(got) <= 8 * math.ulp(max(math.lgamma(n + 1), 1.0))
+
+
 class TestBruteforce:
     def test_n1_any_params(self):
         assert expected_concepts_bruteforce(ModelParams(1, 0.3, 0.9)) == pytest.approx(
