@@ -60,7 +60,7 @@ from .expectation import (
     expected_concepts_exact,
     log_term,
 )
-from .logspace import LogValue, log1mexp, log_one_minus_pow, log_sum_exp
+from .logspace import log1mexp, log_one_minus_pow, log_sum_exp
 from .model import (
     ModelParams,
     Seed,
@@ -86,7 +86,6 @@ __all__ = [
     "FormalContext",
     "InputError",
     "InternalError",
-    "LogValue",
     "McEstimate",
     "ModelParams",
     "ParseError",

@@ -33,7 +33,7 @@ from .expectation import (
     expected_concepts_exact,
 )
 from .model import MAX_DRAW_N, ModelParams, Seed, _draw
-from .montecarlo import MAX_MC_N, MAX_MC_SAMPLES, compare_with_exact, estimate
+from .montecarlo import MAX_MC_N, MAX_MC_SAMPLES, MAX_MC_WORK, compare_with_exact, estimate
 
 DEFAULT_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VERIFY_MAX_N = 4
@@ -220,14 +220,13 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
     # so it runs first.
     exact = expected_concepts_exact(args.n, p, q) if args.rational else None
     report = expected_concepts(params)
-    log_value = report.log_value
     payload = {
         "n": params.n,
         "p": params.p,
         "q": params.q,
         "value": report.value,
-        "log_value": log_value.log,
-        "is_zero": log_value.is_zero,
+        "log_value": report.log_value,
+        "is_zero": False,  # every context has the concept (G, G'), so E >= 1
         "terms_evaluated": report.terms_evaluated,
         "terms_skipped_zero": report.terms_skipped_zero,
     }
@@ -237,7 +236,7 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
         lines.append(f"exact: {payload['exact']}")
     total = report.terms_evaluated + report.terms_skipped_zero
     lines += [
-        f"log: {_fmt(log_value.log)}",
+        f"log: {_fmt(report.log_value)}",
         f"terms: {total} total = {report.terms_evaluated} evaluated"
         f" + {report.terms_skipped_zero} zero",
     ]
@@ -381,7 +380,8 @@ def _build_parser() -> _Parser:
     mc.add_argument("--n", type=int, required=True, help=f"universe size, at most {MAX_MC_N}")
     mc.add_argument("--p", type=float, required=True)
     mc.add_argument("--q", type=float, required=True)
-    mc.add_argument("--samples", type=int, required=True, help=f"2 to {MAX_MC_SAMPLES}")
+    samples_help = f"2 to {MAX_MC_SAMPLES}, with samples * n^2 at most {MAX_MC_WORK}"
+    mc.add_argument("--samples", type=int, required=True, help=samples_help)
     mc.add_argument("--seed", type=int, required=True)
     mc.add_argument("--workers", type=int, default=1)
     mc.add_argument("--compare-exact", action="store_true")

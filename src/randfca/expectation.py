@@ -48,7 +48,7 @@ from typing import Iterator
 
 from .context import count_concepts
 from .errors import InputError, SizeError, fraction_text, quote
-from .logspace import LogValue, log_one_minus_pow, log_sum_exp
+from .logspace import log_one_minus_pow, log_sum_exp
 from .model import ModelParams, context_log_probability, enumerate_sample_space
 
 MAX_BRUTEFORCE_N = 5
@@ -81,7 +81,7 @@ class ExpectationReport:
     """Result of evaluating the average-concept-count sum."""
 
     params: ModelParams
-    log_value: LogValue
+    log_value: float
     value: float
     terms_evaluated: int
     terms_skipped_zero: int
@@ -106,7 +106,7 @@ def composition_iter(n: int) -> Iterator[Composition4]:
     return generate()
 
 
-def log_term(params: ModelParams, comp: Composition4) -> LogValue:
+def log_term(params: ModelParams, comp: Composition4) -> float:
     """Log of one summand of the average-concept-count sum.
 
     Each factor with a positive exponent adds exponent * log(base), with
@@ -136,7 +136,7 @@ def log_term(params: ModelParams, comp: Composition4) -> LogValue:
     ):
         if count:
             total += count * log_base
-    return LogValue(total)
+    return total
 
 
 def _log_add_exp(x: float, y: float) -> float:
@@ -154,17 +154,17 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
     Sums all C(n+2, 2) collapsed terms, in (a, b) order, with
     :func:`log_sum_exp`; no cutoff is applied.
 
-    ``log_value``'s error is absolute, not relative: up to a few ulp of
-    ln n!. At q = 1, where E = 1 exactly, the computed ln E reaches
-    -2.3e-14 at n = 40, -8.2e-14 at n = 200, -4.8e-13 at n = 1000 and
-    -1.0e-12 at n = 2000 (p from .01 to .99); at (2000, .1, 1) ``value``
-    is 0.9999999999991. Where E is near 1 the relative error of ln E is
-    large: at (80, 1e-6, 1 - 2**-30) ln E is 5.9e-12 and its relative
-    error 1.4e-5, while ``value`` is accurate.
+    ``log_value``'s error is absolute, not relative: up to a few ulp of ln n!.
+    At q = 1, where E = 1 exactly, the computed ln E reaches -2.3e-14 at
+    n = 40, -8.2e-14 at n = 200, -4.8e-13 at n = 1000 and -1.0e-12 at n = 2000
+    (p from .01 to .99); at (2000, .1, 1) ``value`` is 0.9999999999991. Near
+    E = 1 the relative error of ln E is large: at (80, 1e-6, 1 - 2**-30) ln E
+    is 5.9e-12 and its relative error 1.4e-5, while ``value`` is accurate.
 
-    n is bounded by MAX_EXPECT_N = 2000, checked before any work; the
-    slowest accepted input measured, n = 2000, takes about 2 s on one core
-    of an Intel Xeon.
+    n <= MAX_EXPECT_N = 2000 is checked before any work; n = 2000 takes
+    about 2 s on one core of an Intel Xeon. ``value`` = exp(``log_value``)
+    cannot overflow, since E <= 2**(n // 2) and MAX_EXPECT_N <= 2047; a
+    larger bound must handle the overflow there.
     """
     n, p, q = params.n, params.p, params.q
     if n > MAX_EXPECT_N:
@@ -199,7 +199,7 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
     return ExpectationReport(
         params=params,
         log_value=log_value,
-        value=log_value.exp(),
+        value=math.exp(log_value),
         terms_evaluated=math.comb(n + 2, 2) - skipped,
         terms_skipped_zero=skipped,
     )
@@ -264,6 +264,6 @@ def expected_concepts_bruteforce(params: ModelParams) -> float:
             f"brute-force averaging supports n <= {MAX_BRUTEFORCE_N}, got {params.n}"
         )
     return math.fsum(
-        count_concepts(ctx) * context_log_probability(params, ctx).exp()
+        count_concepts(ctx) * math.exp(context_log_probability(params, ctx))
         for ctx in enumerate_sample_space(params.n)
     )

@@ -11,30 +11,11 @@ log-sum-exp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """The natural log of a nonnegative real; -inf is the number 0."""
-
-    log: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == -math.inf
-
-    def exp(self) -> float:
-        """Linear value; overflows to +inf instead of raising."""
-        try:
-            return math.exp(self.log)
-        except OverflowError:
-            return float("inf")
 
 
 def log1mexp(x: float) -> float:
@@ -70,12 +51,12 @@ def log_one_minus_pow(base: float, exponent: int) -> float:
     return log1mexp(exponent * math.log(base))
 
 
-def log_sum_exp(values: Iterable[float]) -> LogValue:
-    """log(sum(exp(v) for v in values)) as a :class:`LogValue`, in one pass.
+def log_sum_exp(values: Iterable[float]) -> float:
+    """log(sum(exp(v) for v in values)), in one pass.
 
     Keeps the largest value so far and the sum of exp(v - largest),
     rescaling the sum when a new largest value arrives. A -inf value (an
-    exact zero) adds nothing; a sum of nothing is LogValue(-inf).
+    exact zero) adds nothing; a sum of nothing is -inf.
     """
     top = -math.inf
     total = 0.0
@@ -87,4 +68,4 @@ def log_sum_exp(values: Iterable[float]) -> LogValue:
         else:
             total = total * math.exp(top - x) + 1.0
             top = x
-    return LogValue(top + math.log(total) if total else -math.inf)
+    return top + math.log(total) if total else -math.inf

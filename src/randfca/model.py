@@ -38,7 +38,6 @@ from typing import Iterator, Sequence, Union
 
 from .context import FormalContext
 from .errors import InputError, SizeError, quote
-from .logspace import LogValue
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -202,7 +201,7 @@ def _check_universe_labels(ctx: FormalContext, n: int) -> None:
         raise InputError(f"context labels must partition 1..{n}, got {quote(sorted(labels))}")
 
 
-def context_log_probability(params: ModelParams, ctx: FormalContext) -> LogValue:
+def context_log_probability(params: ModelParams, ctx: FormalContext) -> float:
     """Log of the model probability of one specific context.
 
     Each factor with a positive exponent adds exponent * log(base), with
@@ -224,7 +223,7 @@ def context_log_probability(params: ModelParams, ctx: FormalContext) -> LogValue
     ):
         if count:
             total += count * (math.log(prob) if prob > 0.0 else -math.inf)
-    return LogValue(total)
+    return total
 
 
 def enumerate_sample_space(n: int) -> Iterator[FormalContext]:

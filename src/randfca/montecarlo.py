@@ -23,6 +23,9 @@ from .model import ModelParams, Seed, SeedLike, derive_seed, sample_context
 MAX_MC_N = 40
 # At n = 10, p = q = 1/2, this many samples take about 3.4 s on one core.
 MAX_MC_SAMPLES = 10**5
+# A bound on samples * n**2, since a sample's cost grows with n: at n = 40,
+# p = 1/2, q = .85, the 6250 samples it allows take about 10 s on one core.
+MAX_MC_WORK = 10**7
 
 # Normal 95% quantile; adequate since estimates use thousands of samples.
 Z95 = 1.96
@@ -64,8 +67,8 @@ def estimate(
     """Estimate the average concept count from independent samples.
 
     Bit-identical for fixed (params, samples, seed) regardless of
-    `workers`. samples is bounded by MAX_MC_SAMPLES and n by MAX_MC_N,
-    both checked before any work.
+    `workers`. samples is bounded by MAX_MC_SAMPLES, n by MAX_MC_N and
+    samples * n**2 by MAX_MC_WORK, all checked before any work.
     """
     if samples < 2:
         raise InputError(f"need at least 2 samples, got {samples}")
@@ -75,6 +78,11 @@ def estimate(
         raise InputError(f"workers must be >= 1, got {workers}")
     if params.n > MAX_MC_N:
         raise SizeError(f"Monte Carlo supports n <= {MAX_MC_N}, got {params.n}")
+    if samples * params.n**2 > MAX_MC_WORK:
+        raise SizeError(
+            f"Monte Carlo at n = {params.n} supports at most"
+            f" {MAX_MC_WORK // params.n**2} samples, got {samples}"
+        )
     master = seed if isinstance(seed, Seed) else Seed(seed)
     count = functools.partial(_count_sample, params, master.master)
     if workers == 1:

@@ -109,7 +109,7 @@ class TestLogSplitTerm:
             ModelParams(n, 0.5, 0.5),
             Composition4(split.a, split.b, split.c, split.d),
         )
-        assert abs(log_split_term(n) - generic.log) <= 1e-9
+        assert abs(log_split_term(n) - generic) <= 1e-9
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_is_a_lower_bound_for_the_average(self, n):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -26,7 +27,6 @@ from randfca import (
     ExpectationReport,
     FormalContext,
     InternalError,
-    LogValue,
     enumerate_concepts,
     write_cxt,
 )
@@ -83,7 +83,7 @@ class TestExpect:
         envelope = run_json(capsys, "expect", "--n", "7", "--p", "0.3", "--q", "0.6", "--json")
         exact = expected_concepts(ModelParams(7, 0.3, 0.6))
         assert envelope["payload"]["value"] == exact.value
-        assert envelope["payload"]["log_value"] == exact.log_value.log
+        assert envelope["payload"]["log_value"] == exact.log_value
 
     def test_bad_n_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "expect", "--n", "0", "--p", "0.5", "--q", "0.5")
@@ -167,9 +167,9 @@ class TestExpect:
         assert (code, out) == (1, "")
         assert err == "error: exact evaluation supports n <= 192, got 200\n"
 
-    # 1 <= E <= 2**(n // 2), so every expect report holds finite numbers,
-    # from p or q of 0 and 1e-300 up to 1 - 2**-30 and 1, and at the
-    # largest n, where the computed E sits just below 1.
+    # 1 <= E <= 2**(n // 2), so every expect report holds finite numbers and
+    # is never zero, from p or q of 0 and 1e-300 up to 1 - 2**-30 and 1, and
+    # at the largest n, where the computed E sits just below 1.
     @pytest.mark.parametrize(
         "n,p,q",
         [(n, p, q) for n in (1, 2, 40, 200) for p in FINITE_GRID for q in FINITE_GRID]
@@ -181,10 +181,11 @@ class TestExpect:
         for key in ("value", "log_value"):
             value = envelope["payload"][key]
             assert type(value) is float and math.isfinite(value)
+        assert envelope["payload"]["is_zero"] is False
 
     def test_non_finite_value_is_an_internal_error(self, capsys, monkeypatch):
         def infinite(params):
-            return ExpectationReport(params, LogValue(math.inf), math.inf, 1, 0)
+            return ExpectationReport(params, math.inf, math.inf, 1, 0)
 
         monkeypatch.setattr("randfca.cli.expected_concepts", infinite)
         code, out, err = run(capsys, "expect", "--json", "--n", "2", "--p", "0.5", "--q", "0.5")
@@ -218,22 +219,54 @@ def test_import_leaves_the_process_pool_unloaded():
     # Only `mc --workers W` with W > 1 needs the pool; every other command
     # would pay for loading it at start-up. Modules that the interpreter's
     # own start-up loads are already there before the import, so they drop out.
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "before = set(sys.modules)\n"
-        "import randfca.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    # With the pool loaded too, the runtime is still the standard library:
+    # every added module is randfca's own, built in, under stdlib but not in
+    # site-packages (which may lie inside it), or the alias `__mp_main__` that
+    # multiprocessing gives this script's `__main__`.
+    code = textwrap.dedent(
+        """\
+        import sys, sysconfig
+        from pathlib import Path
+        sys.path.insert(0, sys.argv[1])
+
+        def added(before):
+            return sorted(set(sys.modules) - before)
+
+        def foreign(names):
+            paths = sysconfig.get_paths()
+            stdlib = Path(paths["stdlib"]).resolve()
+            site = {Path(paths[key]).resolve() for key in ("purelib", "platlib")}
+            for name in names:
+                module = sys.modules[name]
+                if name.split(".")[0] == "randfca" or name in sys.builtin_module_names:
+                    continue
+                if module is sys.modules["__main__"]:
+                    continue
+                path = getattr(module, "__file__", None)
+                parents = Path(path).resolve().parents if path else ()
+                if stdlib not in parents or site.intersection(parents):
+                    yield name
+
+        before = set(sys.modules)
+        import randfca.cli
+        print(" ".join(added(before)))
+        from randfca import ModelParams, estimate
+        estimate(ModelParams(6, .5, .5), 20, 1, workers=2)
+        print(" ".join(added(before)))
+        print(" ".join(foreign(added(before))))
+        """
     )
     src = str(Path(randfca.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    added = result.stdout.split()
-    assert "randfca.cli" in added
+    at_import, with_pool, foreign = (line.split() for line in result.stdout.split("\n")[:3])
+    assert "randfca.cli" in at_import
     unwanted = ("concurrent", "multiprocessing", "statistics")
-    assert [name for name in added if name.split(".")[0] in unwanted] == []
+    assert [name for name in at_import if name.split(".")[0] in unwanted] == []
+    assert "concurrent.futures.process" in with_pool
+    assert foreign == []
 
 
 class TestAsymptotic:
@@ -600,6 +633,15 @@ class TestMc:
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (1, "")
         assert err == f"error: Monte Carlo supports at most 100000 samples, got {samples}\n"
+
+    def test_samples_times_n_squared_past_the_bound_exits_one_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "mc", "--n", "40", "--p", ".5", "--q", ".85", "--samples", "6251", "--seed", "1"
+        )
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: Monte Carlo at n = 40 supports at most 6250 samples, got 6251\n"
 
     def test_workers_flag_matches_serial(self, capsys):
         base = ["mc", "--n", "5", "--p", "0.5", "--q", "0.5", "--samples", "300",

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from randfca import (
     Composition4,
+    FormalContext,
     InputError,
     ModelParams,
     SizeError,
     composition_count,
     composition_iter,
+    context_log_probability,
     expected_concepts,
     expected_concepts_bruteforce,
     expected_concepts_exact,
@@ -76,18 +78,18 @@ class TestLogTerm:
     def test_mixed_pair_term(self):
         # multinomial(2;1,1,0,0) * p * (1-p) * q = 2 * 1/4 * 1/2
         got = log_term(ModelParams(2, 0.5, 0.5), Composition4(1, 1, 0, 0))
-        assert got.log == pytest.approx(math.log(0.25), rel=1e-15)
+        assert got == pytest.approx(math.log(0.25), rel=1e-15)
 
     def test_all_objects_term(self):
         got = log_term(ModelParams(2, 0.5, 0.5), Composition4(2, 0, 0, 0))
-        assert got.log == pytest.approx(math.log(0.25), rel=1e-15)
+        assert got == pytest.approx(math.log(0.25), rel=1e-15)
 
     def test_zero_when_c_factor_vanishes(self):
         # b = 0 makes (1 - q**b) = 0 and c = 2 > 0
-        assert log_term(ModelParams(2, 0.5, 0.5), Composition4(0, 0, 2, 0)).is_zero
+        assert log_term(ModelParams(2, 0.5, 0.5), Composition4(0, 0, 2, 0)) == -math.inf
 
     def test_zero_when_d_factor_vanishes(self):
-        assert log_term(ModelParams(3, 0.5, 0.5), Composition4(0, 1, 0, 2)).is_zero
+        assert log_term(ModelParams(3, 0.5, 0.5), Composition4(0, 1, 0, 2)) == -math.inf
 
     def test_sum_mismatch_rejected(self):
         with pytest.raises(InputError):
@@ -106,12 +108,12 @@ class TestLogTerm:
                         or (d > 0 and (a == 0 or q == 1.0))
                         or (c > 0 and (b == 0 or q == 1.0))
                     )
-                    assert log_term(ModelParams(n, p, q), comp).is_zero == rule, (p, q, comp)
+                    assert (log_term(ModelParams(n, p, q), comp) == -math.inf) == rule, (p, q, comp)
 
     def test_exponent_zero_never_zeroes_a_term(self):
         # p = 0 with a + c = 0 and q = 1 with c = d = 0 both survive
         got = log_term(ModelParams(2, 0.0, 1.0), Composition4(0, 2, 0, 0))
-        assert got.log == pytest.approx(0.0, abs=1e-15)
+        assert got == pytest.approx(0.0, abs=1e-15)
 
 
 class TestExpectedConcepts:
@@ -133,13 +135,13 @@ class TestExpectedConcepts:
     def test_term_accounting(self):
         report = expected_concepts(ModelParams(6, 0.5, 0.5))
         assert report.terms_evaluated + report.terms_skipped_zero == math.comb(6 + 2, 2)
-        assert report.value == pytest.approx(report.log_value.exp(), rel=1e-15)
+        assert report.value == pytest.approx(math.exp(report.log_value), rel=1e-15)
 
     def test_skipping_zero_terms_is_exact(self):
         params = ModelParams(5, 0.25, 0.75)
         terms = [log_term(params, c) for c in composition_iter(5)]
-        skipped = log_sum_exp(t.log for t in terms if not t.is_zero)
-        unskipped = log_sum_exp(t.log for t in terms)
+        skipped = log_sum_exp(t for t in terms if t != -math.inf)
+        unskipped = log_sum_exp(terms)
         assert skipped == unskipped
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -176,7 +178,7 @@ class TestAgainstCompositionSum:
 
     @staticmethod
     def oracle(params):
-        return log_sum_exp(log_term(params, c).log for c in composition_iter(params.n))
+        return log_sum_exp(log_term(params, c) for c in composition_iter(params.n))
 
     @pytest.mark.parametrize("n", [*range(1, 13), 20, 30])
     def test_float_path(self, n):
@@ -185,16 +187,16 @@ class TestAgainstCompositionSum:
                 params = ModelParams(n, p, q)
                 got = expected_concepts(params).log_value
                 want = self.oracle(params)
-                assert got.is_zero == want.is_zero
-                if not want.is_zero:
-                    assert got.log == pytest.approx(want.log, abs=1e-12)
+                assert (got == -math.inf) == (want == -math.inf)
+                if want != -math.inf:
+                    assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", [20, 40])
     @pytest.mark.parametrize(
         "p,q", [(Fraction(1, 3), Fraction(2, 5)), (Fraction(3, 4), Fraction(1, 8))]
     )
     def test_exact_path(self, n, p, q):
-        want = self.oracle(ModelParams(n, float(p), float(q))).exp()
+        want = math.exp(self.oracle(ModelParams(n, float(p), float(q))))
         assert float(expected_concepts_exact(n, p, q)) == pytest.approx(want, rel=1e-12)
 
 
@@ -228,7 +230,7 @@ def test_log_value_against_high_precision_reference(n, p, q):
     relative error of 1.4e-5 to ln E itself, since E = 1 + 5.9e-12 is
     summed in doubles."""
     want = float(HIGH_PRECISION_LOG[(n, p, q)])
-    got = expected_concepts(ModelParams(n, p, q)).log_value.log
+    got = expected_concepts(ModelParams(n, p, q)).log_value
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
@@ -238,8 +240,30 @@ def test_log_value_at_q_one_is_within_ulps_of_ln_n_factorial(n, p):
     """At q = 1 every context has the one concept (G, M), so E = 1 and
     ln E = 0. The float sum's error there is absolute, a few ulp of ln n!:
     at most 1.6 ulp over p from .01 to .99 at these n."""
-    got = expected_concepts(ModelParams(n, p, 1.0)).log_value.log
+    got = expected_concepts(ModelParams(n, p, 1.0)).log_value
     assert abs(got) <= 8 * math.ulp(max(math.lgamma(n + 1), 1.0))
+
+
+@pytest.mark.parametrize(
+    "n,p,q", [(1, 0.5, 0.5), (40, 0.1, 0.9), (80, 1e-6, 1 - 2**-30), (2000, 0.5, 0.5)]
+)
+def test_logs_are_plain_floats(n, p, q):
+    """A log is a float, with -inf as its only zero, and ``value`` is its
+    exp: E <= 2**(n // 2) cannot overflow at any accepted n."""
+    params = ModelParams(n, p, q)
+    report = expected_concepts(params)
+    objects_only = FormalContext(tuple(map(str, range(1, n + 1))), (), ((),) * n)
+    logs = [
+        log_sum_exp([]),
+        log_sum_exp([-math.inf]),
+        log_sum_exp([-1.0, 0.0, 2.5]),
+        log_term(params, Composition4(n, 0, 0, 0)),
+        context_log_probability(params, objects_only),
+        report.log_value,
+    ]
+    assert [type(log) for log in logs] == [float] * len(logs)
+    assert logs[:2] == [-math.inf, -math.inf]
+    assert report.value == math.exp(report.log_value)
 
 
 class TestBruteforce:

@@ -4,18 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from randfca import InputError, LogValue, log1mexp, log_one_minus_pow, log_sum_exp
-
-
-def test_zero_state():
-    zero = LogValue(-math.inf)
-    assert zero.is_zero
-    assert zero.exp() == 0.0
-    assert not LogValue(-1e308).is_zero
-
-
-def test_exp_overflows_to_inf():
-    assert LogValue(1e4).exp() == float("inf")
+from randfca import InputError, log1mexp, log_one_minus_pow, log_sum_exp
 
 
 def test_log1mexp_matches_naive_in_safe_range():
@@ -55,15 +44,15 @@ def test_log_one_minus_pow_near_one_is_stable():
 
 @given(st.lists(st.floats(min_value=-600, max_value=600), min_size=1, max_size=50))
 def test_log_sum_exp_matches_two_pass(values):
-    got = log_sum_exp(values).log
+    got = log_sum_exp(values)
     peak = max(values)
     expected = peak + math.log(math.fsum(math.exp(v - peak) for v in values))
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_log_sum_exp_of_nothing_is_zero_state():
-    assert log_sum_exp([]).is_zero
-    assert log_sum_exp([float("-inf")]).is_zero
+    assert log_sum_exp([]) == -math.inf
+    assert log_sum_exp([float("-inf")]) == -math.inf
 
 
 def test_log_sum_exp_ignores_exact_zero_terms():

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -109,3 +110,26 @@ def test_sample_count_is_bounded_before_any_sample(monkeypatch):
     for samples in (10**5 + 1, 10**12):
         with pytest.raises(SizeError, match=f"at most 100000 samples, got {samples}"):
             estimate(ModelParams(1, 0.5, 0.5), samples, Seed(1))
+
+
+@pytest.mark.parametrize("n,samples,most", [(40, 6251, 6250), (11, 10**5, 82644)])
+def test_samples_times_n_squared_is_bounded_before_any_sample(monkeypatch, n, samples, most):
+    def boom(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
+    started = time.perf_counter()
+    message = f"Monte Carlo at n = {n} supports at most {most} samples, got {samples}"
+    with pytest.raises(SizeError, match=message):
+        estimate(ModelParams(n, 0.5, 0.85), samples, Seed(1))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_samples_times_n_squared_at_the_bound_is_accepted(monkeypatch):
+    # 6250 * 40**2 == MAX_MC_WORK: accepted, so the check reaches the draws.
+    def boom(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
+    with pytest.raises(AssertionError, match="a sample was drawn"):
+        estimate(ModelParams(40, 0.5, 0.85), 6250, Seed(1))
