@@ -63,7 +63,6 @@ from .expectation import (
 from .logspace import log1mexp, log_one_minus_pow, log_sum_exp
 from .model import (
     ModelParams,
-    Seed,
     context_log_probability,
     derive_seed,
     enumerate_sample_space,
@@ -90,7 +89,6 @@ __all__ = [
     "ModelParams",
     "ParseError",
     "RandFcaError",
-    "Seed",
     "SerializationError",
     "SizeError",
     "bounded_correction",

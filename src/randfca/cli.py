@@ -32,7 +32,7 @@ from .expectation import (
     expected_concepts_bruteforce,
     expected_concepts_exact,
 )
-from .model import MAX_DRAW_N, ModelParams, Seed, _draw
+from .model import MAX_DRAW_N, ModelParams, _draw
 from .montecarlo import MAX_MC_N, MAX_MC_SAMPLES, MAX_MC_WORK, compare_with_exact, estimate
 
 DEFAULT_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -174,9 +174,9 @@ def _label_set(labels: Sequence[str], mask: int) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace, started: float) -> None:
-    sides, digits = _draw(ModelParams(args.n, args.p, args.q), Seed(args.seed))
+    sides, digits = _draw(ModelParams(args.n, args.p, args.q), args.seed)
     g = sides.count("1")
-    ctx = FormalContext._from_digits(*_default_labels(g, len(sides) - g), digits)
+    ctx = FormalContext(*_default_labels(g, len(sides) - g), digits)
     if args.format == "cxt":
         text = write_cxt(CxtDocument(ctx))
     else:
@@ -246,14 +246,14 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
 def _cmd_mc(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
     run = compare_with_exact if args.compare_exact else estimate
-    outcome = run(params, args.samples, Seed(args.seed), workers=args.workers)
+    outcome = run(params, args.samples, args.seed, workers=args.workers)
     result = outcome.estimate if args.compare_exact else outcome
     payload = {
         "n": params.n,
         "p": params.p,
         "q": params.q,
         "samples": result.samples,
-        "seed": result.seed.master,
+        "seed": result.seed,
         "workers": args.workers,
         "mean": result.mean,
         "stderr": result.stderr,
@@ -267,7 +267,7 @@ def _cmd_mc(args: argparse.Namespace, started: float) -> None:
         f"stderr: {_fmt(result.stderr)}",
         f"ci95: [{_fmt(result.ci95_low)}, {_fmt(result.ci95_high)}]",
         f"count range: [{result.min_count}, {result.max_count}]",
-        f"samples: {result.samples}  seed: {result.seed.master}  workers: {args.workers}",
+        f"samples: {result.samples}  seed: {result.seed}  workers: {args.workers}",
     ]
     if args.compare_exact:
         payload.update(exact=outcome.exact, z=outcome.z if math.isfinite(outcome.z) else None)

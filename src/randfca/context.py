@@ -1,7 +1,7 @@
 """Finite formal contexts and their concepts.
 
 A context is a finite bipartite incidence structure: a list of objects, a
-list of attributes, and a boolean incidence matrix. Deriving a set of
+list of attributes, and a cross table between them. Deriving a set of
 objects yields the attributes they all share; deriving a set of attributes
 yields the objects that have them all. A concept is a pair (extent,
 intent) fixed by both derivations, i.e. a maximal rectangle of crosses in
@@ -13,12 +13,13 @@ with an empty side have exactly one concept.
 
 A context is built from its row-major incidence digits: the |G|*|M|
 characters '1' (incident) or '0', str or bytes, of the cross table read
-row by row, attribute 0 first; this module alone maps them to bits.
-Incidence is stored once, as integer bit rows (plus the bit columns
-derived from them), so derivation is a word-wise AND; the boolean matrix
-``incidence`` is computed on demand. A concept likewise holds its two
-sides as bit masks, and builds their index sets on demand. Three
-traversals are provided, and both listing and counting run through each:
+row by row, attribute 0 first; this module alone maps them to bits, and
+refuses any other length or character. ``from_bit_rows`` writes integer
+bit rows as such digits. Incidence is stored once, as integer bit rows
+(plus the bit columns derived from them), so derivation is a word-wise
+AND. A concept likewise holds its two sides as bit masks, and builds their
+index sets on demand. Three traversals are provided, and both listing and
+counting run through each:
 
 * ``intersection``: the intents are the full attribute set and every
   intersection of object rows (Norris 1978), so closing the rows under
@@ -72,22 +73,6 @@ class FormalContext:
     _cols: tuple[int, ...] = field(repr=False, compare=False)
 
     def __init__(
-        self,
-        objects: Sequence[str],
-        attributes: Sequence[str],
-        incidence: Iterable[Iterable[bool]],
-    ) -> None:
-        incidence = [tuple(row) for row in incidence]
-        rows = [sum(1 << j for j, v in enumerate(row) if v) for row in incidence]
-        self._store(objects, attributes, _bit_row_digits(rows, len(objects), len(attributes)))
-        m = len(self.attributes)
-        for i, row in enumerate(incidence):
-            if len(row) != m:
-                raise InputError(
-                    f"incidence row {i} has {len(row)} entries, expected {m}"
-                )
-
-    def _store(
         self, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
     ) -> None:
         """Build from row-major incidence digits; the only code mapping a digit to a bit."""
@@ -97,41 +82,32 @@ class FormalContext:
             raise InputError("object labels must be pairwise distinct")
         if len(set(attributes)) != len(attributes):
             raise InputError("attribute labels must be pairwise distinct")
+        # A non-ASCII character becomes '?', which the digit check refuses.
+        data = digits.encode("ascii", "replace") if isinstance(digits, str) else digits
+        if not isinstance(data, bytes):
+            raise InputError(f"incidence digits must be str or bytes, got {type(digits).__name__}")
         g, m = len(objects), len(attributes)
+        if len(data) != g * m:
+            raise InputError(f"expected {g} * {m} incidence digits, got {len(data)}")
+        if data.translate(None, b"01"):
+            k = len(data) - len(data.lstrip(b"01"))
+            raise InputError(f"incidence digit {k} is {quote(digits[k : k + 1])}, not '0' or '1'")
         # Reversed, the digits hold the last row first, each as its numeral.
         # Column j is every m-th digit from place m - 1 - j: its numeral.
-        digits = digits[::-1]
-        rows = tuple([int(digits[k * m : k * m + m] or "0", 2) for k in reversed(range(g))])
-        cols = tuple([int(digits[m - 1 - j :: m] or "0", 2) for j in range(m)])
+        data = data[::-1]
+        rows = tuple([int(data[k * m : k * m + m] or b"0", 2) for k in reversed(range(g))])
+        cols = tuple([int(data[m - 1 - j :: m] or b"0", 2) for j in range(m)])
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
 
     @classmethod
-    def _from_digits(
-        cls, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
-    ) -> "FormalContext":
-        ctx = cls.__new__(cls)
-        ctx._store(objects, attributes, digits)
-        return ctx
-
-    @classmethod
     def from_bit_rows(
         cls, objects: Sequence[str], attributes: Sequence[str], rows: Sequence[int]
     ) -> "FormalContext":
-        """Build a context from integer bit rows (bit j of row i = incidence).
-
-        Bits at positions >= len(attributes) are ignored.
-        """
-        digits = _bit_row_digits(rows, len(objects), len(attributes))
-        return cls._from_digits(objects, attributes, digits)
-
-    @property
-    def incidence(self) -> tuple[tuple[bool, ...], ...]:
-        """The cross table as rows of booleans, read off the bit rows."""
-        m = len(self.attributes)
-        return tuple(tuple(bool(r >> j & 1) for j in range(m)) for r in self._rows)
+        """Build from integer bit rows (bit j of row i = incidence); bits >= |M| are ignored."""
+        return cls(objects, attributes, _bit_row_digits(rows, len(objects), len(attributes)))
 
     @property
     def object_count(self) -> int:
@@ -377,7 +353,8 @@ def contranomial(k: int) -> FormalContext:
     if k < 1:
         raise InputError(f"contranomial size must be >= 1, got {k}")
     labels = tuple(str(i) for i in range(1, k + 1))
-    return FormalContext(labels, labels, [[i != j for j in range(k)] for i in range(k)])
+    # The diagonal's zeros are every (k + 1)-th digit, from the first.
+    return FormalContext(labels, labels, (("0" + "1" * k) * k)[: k * k])
 
 
 def empty_relation(g: int, m: int) -> FormalContext:
@@ -393,7 +370,7 @@ def full_relation(g: int, m: int) -> FormalContext:
 def _constant_relation(g: int, m: int, digit: str) -> FormalContext:
     if g < 0 or m < 0:
         raise InputError(f"sizes must be >= 0, got ({g}, {m})")
-    return FormalContext._from_digits(*_default_labels(g, m), digit * (g * m))
+    return FormalContext(*_default_labels(g, m), digit * (g * m))
 
 
 def _default_labels(g: int, m: int) -> tuple[tuple[str, ...], tuple[str, ...]]:

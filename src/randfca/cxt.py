@@ -112,7 +112,7 @@ def read_cxt(data: str | bytes) -> CxtDocument:
         if line:
             raise ParseError("unexpected content after incidence rows", number)
     digits = "".join(rows).translate(_CROSS_TO_BIT)
-    return CxtDocument(FormalContext._from_digits(objects, attributes, digits), lines[1])
+    return CxtDocument(FormalContext(objects, attributes, digits), lines[1])
 
 
 def write_cxt(doc: CxtDocument | FormalContext) -> str:

@@ -9,6 +9,7 @@ context (G, M, I) is therefore
 
 Determinism contract
 --------------------
+A seed is an int, taken modulo 2**64; any other value is an InputError.
 All randomness flows through SplitMix64 with the standard constants
 (increment 0x9E3779B97F4A7C15, multipliers 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB). Draws are consumed in a fixed order: one 64-bit word
@@ -25,7 +26,8 @@ of a Python integer, so each step of mix64 is one big-integer operation
 for all of them. That changes how the words are computed, not which:
 the stream, its order and the Bernoulli rule are as stated above, and
 where a chunk of lanes ends never changes a draw. The incidence digits,
-in draw order, are handed to the context as its row-major digits.
+in draw order, are the context's row-major digits, which its constructor
+takes as they are.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .context import FormalContext
 from .errors import InputError, SizeError, quote
@@ -56,23 +59,16 @@ _LANES = 1024
 _NEGATED_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
-@dataclass(frozen=True)
-class Seed:
-    """64-bit master seed; wider ints are reduced modulo 2**64."""
-
-    master: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "master", int(self.master) & MASK64)
+def _integer(value: object, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {quote(value)}") from None
 
 
-SeedLike = Union[Seed, int]
-
-
-def _master_of(seed: SeedLike) -> int:
-    if isinstance(seed, Seed):
-        return seed.master
-    return int(seed) & MASK64
+def _master_of(seed: int) -> int:
+    """The seed modulo 2**64."""
+    return _integer(seed, "seed") & MASK64
 
 
 def mix64(x: int) -> int:
@@ -83,10 +79,11 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_seed(master: SeedLike, index: int) -> int:
+def derive_seed(master: int, index: int) -> int:
     """Seed for batch sample `index` (the SplitMix64 output at that offset)."""
+    index = _integer(index, "sample index")
     if index < 0:
-        raise InputError(f"sample index must be >= 0, got {index}")
+        raise InputError(f"sample index must be >= 0, got {quote(index)}")
     m = _master_of(master)
     return mix64((m + GOLDEN_GAMMA * (index + 1)) & MASK64)
 
@@ -157,7 +154,7 @@ class ModelParams:
             object.__setattr__(self, name, x)
 
 
-def _draw(params: ModelParams, seed: SeedLike) -> tuple[str, bytes]:
+def _draw(params: ModelParams, seed: int) -> tuple[str, bytes]:
     """The side digits of elements 1..n ("1" object) and the row-major
     incidence digits of the objects against the attributes they leave;
     n is bounded by MAX_DRAW_N, checked before any draw."""
@@ -171,14 +168,14 @@ def _draw(params: ModelParams, seed: SeedLike) -> tuple[str, bytes]:
     return sides, b"".join(_bernoulli_digits(master, n, g * (n - g), params.q))
 
 
-def sample_context(params: ModelParams, seed: SeedLike) -> FormalContext:
+def sample_context(params: ModelParams, seed: int) -> FormalContext:
     """Draw one random context; a pure function of (params, seed).
 
     Element i keeps its universe label str(i); objects and attributes each
     appear in ascending universe order.
     """
     sides, digits = _draw(params, seed)
-    return FormalContext._from_digits(*_universe_labels(sides), digits)
+    return FormalContext(*_universe_labels(sides), digits)
 
 
 def _universe_labels(sides: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -190,14 +187,10 @@ def _universe_labels(sides: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, 
 
 
 def _check_universe_labels(ctx: FormalContext, n: int) -> None:
-    labels = list(ctx.objects) + list(ctx.attributes)
-    try:
-        numbers = sorted(int(label) for label in labels)
-    except ValueError:
-        raise InputError(
-            "context labels must be the integers 1..n, got non-numeric labels"
-        ) from None
-    if numbers != list(range(1, n + 1)):
+    """The labels must be str(1)..str(n), each once; the length is checked
+    first, so the set of n labels is built only for a context that size."""
+    labels = ctx.objects + ctx.attributes
+    if len(labels) != n or set(labels) != {str(i) for i in range(1, n + 1)}:
         raise InputError(f"context labels must partition 1..{n}, got {quote(sorted(labels))}")
 
 
@@ -243,6 +236,6 @@ def enumerate_sample_space(n: int) -> Iterator[FormalContext]:
         for sides in itertools.product("10", repeat=n):
             objects, attributes = _universe_labels(sides)
             for digits in itertools.product("10", repeat=len(objects) * len(attributes)):
-                yield FormalContext._from_digits(objects, attributes, "".join(digits))
+                yield FormalContext(objects, attributes, "".join(digits))
 
     return generate()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .context import count_concepts
 from .errors import InputError, SizeError
 from .expectation import expected_concepts
-from .model import ModelParams, Seed, SeedLike, derive_seed, sample_context
+from .model import ModelParams, _master_of, derive_seed, sample_context
 
 # Past this n, the concept count of one sample may explode.
 MAX_MC_N = 40
@@ -37,7 +37,7 @@ class McEstimate:
 
     params: ModelParams
     samples: int
-    seed: Seed
+    seed: int  # the master seed, modulo 2**64
     mean: float
     stderr: float
     ci95_low: float
@@ -62,7 +62,7 @@ def _count_sample(params: ModelParams, master: int, k: int) -> int:
 
 
 def estimate(
-    params: ModelParams, samples: int, seed: SeedLike, workers: int = 1
+    params: ModelParams, samples: int, seed: int, workers: int = 1
 ) -> McEstimate:
     """Estimate the average concept count from independent samples.
 
@@ -83,8 +83,8 @@ def estimate(
             f"Monte Carlo at n = {params.n} supports at most"
             f" {MAX_MC_WORK // params.n**2} samples, got {samples}"
         )
-    master = seed if isinstance(seed, Seed) else Seed(seed)
-    count = functools.partial(_count_sample, params, master.master)
+    master = _master_of(seed)
+    count = functools.partial(_count_sample, params, master)
     if workers == 1:
         counts = list(map(count, range(samples)))
     else:
@@ -114,7 +114,7 @@ def estimate(
 
 
 def compare_with_exact(
-    params: ModelParams, samples: int, seed: SeedLike, workers: int = 1
+    params: ModelParams, samples: int, seed: int, workers: int = 1
 ) -> ExactComparison:
     """Estimate and compare against the exact composition-sum value.
 

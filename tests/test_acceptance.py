@@ -14,7 +14,6 @@ from randfca import (
     Composition4,
     CxtDocument,
     ModelParams,
-    Seed,
     bounded_correction,
     context_log_probability,
     contranomial,
@@ -127,8 +126,8 @@ def test_criterion_05_monte_carlo_consistency():
     details = []
     for n, p, q in configs:
         params = ModelParams(n, p, q)
-        serial = estimate(params, 20_000, Seed(2718), workers=1)
-        parallel = estimate(params, 20_000, Seed(2718), workers=4)
+        serial = estimate(params, 20_000, 2718, workers=1)
+        parallel = estimate(params, 20_000, 2718, workers=4)
         exact = expected_concepts(params).value
         ok = ok and serial == parallel
         ok = ok and abs(serial.mean - exact) <= 4.0 * serial.stderr
@@ -227,7 +226,7 @@ def test_criterion_10c_cxt_round_trip():
     rng = random.Random(163)
     ok = True
     for k in range(100):
-        ctx = sample_context(ModelParams(9, 0.5, 0.5), Seed(k))
+        ctx = sample_context(ModelParams(9, 0.5, 0.5), k)
         ok = ok and read_cxt(write_cxt(CxtDocument(ctx))).context == ctx
     for _ in range(900):
         ctx = random_context(rng, max_objects=8, max_attributes=8)

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -30,42 +31,64 @@ from randfca import (
     write_cxt,
 )
 from randfca.context import MAX_CONCEPT_INDEX
+from randfca.cxt import cross_rows
 
 from conftest import build_context, contexts, random_context
 
 
 class TestConstruction:
     def test_duplicate_object_labels_rejected(self):
-        with pytest.raises(InputError):
-            FormalContext(("a", "a"), ("x",), ((True,), (False,)))
+        with pytest.raises(InputError, match="^object labels must be pairwise distinct$"):
+            FormalContext(("a", "a"), ("x",), "10")
 
     def test_duplicate_attribute_labels_rejected(self):
-        with pytest.raises(InputError):
-            FormalContext(("a",), ("x", "x"), ((True, False),))
+        with pytest.raises(InputError, match="^attribute labels must be pairwise distinct$"):
+            FormalContext(("a",), ("x", "x"), b"10")
 
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            FormalContext(("a", "b"), ("x",), ((True,),))
+    @pytest.mark.parametrize("form", [str, str.encode], ids=["str", "bytes"])
+    @pytest.mark.parametrize("digits", ["10100", "1010101"], ids=["short", "long"])
+    def test_digit_count_must_be_objects_times_attributes(self, digits, form):
+        with pytest.raises(InputError, match=rf"^expected 2 \* 3 incidence digits, got {len(digits)}$"):
+            FormalContext(("a", "b"), ("x", "y", "z"), form(digits))
 
-    def test_row_width_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            FormalContext(("a",), ("x", "y"), ((True,),))
+    @pytest.mark.parametrize("form", [str, str.encode], ids=["str", "bytes"])
+    @pytest.mark.parametrize(
+        "digits,bad",
+        [("1_0", 1), (" 1", 0), ("102", 2), ("X", 0), ("0+1", 1), ("1\n", 1)],
+        ids=["underscore", "space", "two", "cross", "sign", "newline"],
+    )
+    def test_digits_other_than_0_and_1_rejected(self, digits, bad, form):
+        # int(..., 2) reads "1_0", " 1" and "+1"; here no digit may shift a column.
+        attributes = tuple(f"m{j}" for j in range(len(digits)))
+        shown = re.escape(repr(form(digits[bad])))
+        with pytest.raises(InputError, match=rf"^incidence digit {bad} is {shown}, not '0' or '1'$"):
+            FormalContext(("g",), attributes, form(digits))
+
+    def test_non_ascii_digit_rejected(self):
+        with pytest.raises(InputError, match="^incidence digit 1 is '\u0661', not '0' or '1'$"):
+            FormalContext(("g",), ("x", "y"), "1\u0661")
+
+    @pytest.mark.parametrize("digits", [[[True]], [1], None], ids=["bool-matrix", "int-list", "none"])
+    def test_digits_of_another_type_rejected(self, digits):
+        with pytest.raises(InputError, match="^incidence digits must be str or bytes, got "):
+            FormalContext(("g",), ("m",), digits)
 
     def test_equality_is_structural(self):
         a = build_context(2, 2, [0b01, 0b10])
-        b = FormalContext(("g1", "g2"), ("m1", "m2"), ((1, 0), (0, 1)))
+        b = FormalContext(("g1", "g2"), ("m1", "m2"), "1001")
         assert a == b
         assert hash(a) == hash(b)
+        assert a == FormalContext(("g1", "g2"), ("m1", "m2"), b"1001")
 
     def test_labels_do_not_affect_concepts(self):
         plain = build_context(2, 2, [0b01, 0b10])
-        renamed = FormalContext(("x", "y"), ("u", "v"), plain.incidence)
+        renamed = FormalContext.from_bit_rows(("x", "y"), ("u", "v"), plain._rows)
         assert enumerate_concepts(plain) == enumerate_concepts(renamed)
 
     def test_bit_rows_wider_than_the_attributes_are_masked(self):
         wide = build_context(2, 2, [0b1101, -1])
         assert wide == build_context(2, 2, [0b01, 0b11])
-        assert wide.incidence == ((True, False), (True, True))
+        assert cross_rows(wide) == ["X.", "XX"]
 
     def test_bit_row_count_mismatch_rejected(self):
         with pytest.raises(InputError):
@@ -291,14 +314,21 @@ class TestEnumeration:
 class TestBuilders:
     def test_contranomial_1_is_a_single_empty_cell(self):
         ctx = contranomial(1)
-        assert ctx.incidence == ((False,),)
+        assert cross_rows(ctx) == ["."]
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_contranomial_is_full_but_for_the_diagonal(self, k):
+        full = (1 << k) - 1
+        labels = [str(i) for i in range(1, k + 1)]
+        rows = [full ^ 1 << i for i in range(k)]
+        assert contranomial(k) == FormalContext.from_bit_rows(labels, labels, rows)
 
     def test_contranomial_requires_positive_size(self):
         with pytest.raises(InputError):
             contranomial(0)
 
     def test_full_relation_all_true(self):
-        assert full_relation(2, 2).incidence == ((True, True), (True, True))
+        assert cross_rows(full_relation(2, 2)) == ["XX", "XX"]
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(InputError):
@@ -384,11 +414,12 @@ def test_columns_are_the_transpose_of_the_rows(rows_and_width):
     attributes = tuple(f"m{j}" for j in range(m))
     kept = tuple(r & ((1 << m) - 1) for r in rows)
     cols = tuple(sum(1 << i for i, r in enumerate(kept) if r >> j & 1) for j in range(m))
-    table = [[bool(r >> j & 1) for j in range(m)] for r in kept]
+    digits = "".join("1" if r >> j & 1 else "0" for r in kept for j in range(m))
     from_bits = FormalContext.from_bit_rows(objects, attributes, rows)
     for ctx in (
         from_bits,
-        FormalContext(objects, attributes, table),
+        FormalContext(objects, attributes, digits),
+        FormalContext(objects, attributes, digits.encode()),
         read_cxt(write_cxt(CxtDocument(from_bits))).context,
     ):
         assert (ctx._rows, ctx._cols) == (kept, cols)

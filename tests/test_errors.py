@@ -13,12 +13,12 @@ from randfca import (
     write_cxt,
 )
 
-CTX = FormalContext(["g"], ["m"], [[True]])
+CTX = FormalContext(["g"], ["m"], "1")
 
 
 def _labelled_from_two(n):
     """A context whose n objects are labelled 2..n+1, so not a partition of 1..n."""
-    return FormalContext([str(i) for i in range(2, n + 2)], [], [[] for _ in range(n)])
+    return FormalContext([str(i) for i in range(2, n + 2)], [], "")
 
 
 @pytest.mark.parametrize(
@@ -29,7 +29,7 @@ def _labelled_from_two(n):
         (lambda: count_concepts(CTX, {}), InputError),
         (lambda: Concept(["x" * 100000], []), InputError),
         (lambda: Concept([-(10**5000)], []), InputError),
-        (lambda: write_cxt(FormalContext(["g\n" + "x" * 10000], [], [[]])), SerializationError),
+        (lambda: write_cxt(FormalContext(["g\n" + "x" * 10000], [], "")), SerializationError),
         (
             lambda: context_log_probability(ModelParams(3000, 0.5, 0.5), _labelled_from_two(3000)),
             InputError,

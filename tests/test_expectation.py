@@ -252,7 +252,7 @@ def test_logs_are_plain_floats(n, p, q):
     exp: E <= 2**(n // 2) cannot overflow at any accepted n."""
     params = ModelParams(n, p, q)
     report = expected_concepts(params)
-    objects_only = FormalContext(tuple(map(str, range(1, n + 1))), (), ((),) * n)
+    objects_only = FormalContext(tuple(map(str, range(1, n + 1))), (), "")
     logs = [
         log_sum_exp([]),
         log_sum_exp([-math.inf]),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,14 +14,15 @@ from randfca import (
     FormalContext,
     InputError,
     ModelParams,
-    Seed,
     SizeError,
     context_log_probability,
     derive_seed,
     enumerate_sample_space,
+    estimate,
     mix64,
     sample_context,
 )
+from randfca.errors import quote
 
 
 class TestParams:
@@ -60,8 +62,9 @@ class TestParams:
         assert ModelParams(2, "0.25", "1") == ModelParams(2, 0.25, 1.0)
 
     def test_seed_wraps_to_64_bits(self):
-        assert Seed(2**64 + 5).master == 5
-        assert Seed(-1).master == 2**64 - 1
+        for seed, master in ((-1, 2**64 - 1), (2**64 + 5, 5)):
+            assert derive_seed(seed, 3) == derive_seed(master, 3)
+            assert estimate(ModelParams(2, 0.5, 0.5), 2, seed).seed == master
 
 
 class TestSeedDerivation:
@@ -71,30 +74,47 @@ class TestSeedDerivation:
         assert derive_seed(0, 1) == 0x6E789E6AA1B965F4
         assert derive_seed(0, 2) == 0x06C45D188009454F
 
-    def test_accepts_seed_objects(self):
-        assert derive_seed(Seed(0), 0) == derive_seed(0, 0)
-
     def test_negative_index_rejected(self):
         with pytest.raises(InputError):
             derive_seed(0, -1)
 
+    @pytest.mark.parametrize("index", [1.5, "1", None])
+    def test_non_integer_index_rejected(self, index):
+        message = rf"^sample index must be an integer, got {re.escape(quote(index))}$"
+        with pytest.raises(InputError, match=message):
+            derive_seed(0, index)
+
+    @pytest.mark.parametrize("seed", [2.5, "7", None])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() would truncate 2.5 and parse "7"; a seed must be an int.
+        params = ModelParams(2, 0.5, 0.5)
+        message = rf"^seed must be an integer, got {re.escape(quote(seed))}$"
+        calls = (
+            lambda: derive_seed(seed, 0),
+            lambda: sample_context(params, seed),
+            lambda: estimate(params, 2, seed),
+        )
+        for call in calls:
+            with pytest.raises(InputError, match=message):
+                call()
+
 
 class TestSampling:
     def test_p_one_gives_all_objects(self):
-        ctx = sample_context(ModelParams(5, 1.0, 1.0), Seed(123))
+        ctx = sample_context(ModelParams(5, 1.0, 1.0), 123)
         assert ctx.objects == ("1", "2", "3", "4", "5")
         assert ctx.attributes == ()
         assert ctx.incidence_count == 0
 
     def test_p_zero_gives_all_attributes(self):
-        ctx = sample_context(ModelParams(4, 0.0, 0.3), Seed(9))
+        ctx = sample_context(ModelParams(4, 0.0, 0.3), 9)
         assert ctx.objects == ()
         assert ctx.attributes == ("1", "2", "3", "4")
 
     def test_q_extremes(self):
-        full = sample_context(ModelParams(6, 0.5, 1.0), Seed(3))
+        full = sample_context(ModelParams(6, 0.5, 1.0), 3)
         assert full.incidence_count == full.object_count * full.attribute_count
-        empty = sample_context(ModelParams(6, 0.5, 0.0), Seed(3))
+        empty = sample_context(ModelParams(6, 0.5, 0.0), 3)
         assert empty.incidence_count == 0
 
     @pytest.mark.parametrize(
@@ -108,38 +128,38 @@ class TestSampling:
     def test_pinned_draws(self, params, seed, objects, attributes, rows):
         # The exact contexts the SplitMix64 stream yields; any change to the
         # draw order or the Bernoulli rule changes them.
-        ctx = sample_context(ModelParams(*params), Seed(seed))
+        ctx = sample_context(ModelParams(*params), seed)
         assert ctx == FormalContext.from_bit_rows(objects, attributes, rows)
 
     def test_deterministic(self):
         params = ModelParams(10, 0.4, 0.6)
-        assert sample_context(params, Seed(77)) == sample_context(params, Seed(77))
+        assert sample_context(params, 77) == sample_context(params, 77)
 
     def test_labels_are_universe_numbers_in_order(self):
-        ctx = sample_context(ModelParams(8, 0.5, 0.5), Seed(5))
+        ctx = sample_context(ModelParams(8, 0.5, 0.5), 5)
         merged = sorted(int(x) for x in ctx.objects + ctx.attributes)
         assert merged == list(range(1, 9))
         assert list(ctx.objects) == sorted(ctx.objects, key=int)
 
     def test_different_seeds_differ_somewhere(self):
         params = ModelParams(12, 0.5, 0.5)
-        drawn = {sample_context(params, Seed(s)) for s in range(20)}
+        drawn = {sample_context(params, s) for s in range(20)}
         assert len(drawn) > 1
 
 
 class TestLogProbability:
     def test_mixed_context_with_cross(self):
-        ctx = FormalContext(("1",), ("2",), ((True,),))
+        ctx = FormalContext(("1",), ("2",), "1")
         got = context_log_probability(ModelParams(2, 0.5, 0.5), ctx)
         assert got == pytest.approx(math.log(1 / 8), rel=1e-15)
 
     def test_objects_only(self):
-        ctx = FormalContext(("1", "2"), (), ((), ()))
+        ctx = FormalContext(("1", "2"), (), "")
         got = context_log_probability(ModelParams(2, 0.5, 0.5), ctx)
         assert got == pytest.approx(math.log(1 / 4), rel=1e-15)
 
     def test_zero_state_when_p_is_one_but_attributes_exist(self):
-        ctx = FormalContext(("1",), ("2",), ((False,),))
+        ctx = FormalContext(("1",), ("2",), "0")
         assert context_log_probability(ModelParams(2, 1.0, 0.5), ctx) == -math.inf
         # In general: zero exactly when a factor with positive exponent vanishes.
         for n in (1, 2, 3):
@@ -157,16 +177,27 @@ class TestLogProbability:
                         assert (got == -math.inf) == rule, (p, q, ctx)
 
     def test_label_partition_enforced(self):
-        ctx = FormalContext(("1", "3"), (), ((), ()))
+        ctx = FormalContext(("1", "3"), (), "")
         with pytest.raises(InputError):
             context_log_probability(ModelParams(2, 0.5, 0.5), ctx)
         with pytest.raises(InputError):
             context_log_probability(ModelParams(3, 0.5, 0.5), ctx)
 
     def test_non_numeric_labels_rejected(self):
-        ctx = FormalContext(("a",), (), ((),))
+        ctx = FormalContext(("a",), (), "")
         with pytest.raises(InputError):
             context_log_probability(ModelParams(1, 0.5, 0.5), ctx)
+
+    @pytest.mark.parametrize(
+        "objects,attributes",
+        [((" 1", "+2"), ("0_3",)), (("01",), ("2", "3")), (("1", "\u0662"), ("3",)), (("1",), ("1", "3"))],
+        ids=["space-sign-underscore", "leading-zero", "arabic-indic-two", "repeated"],
+    )
+    def test_labels_that_only_parse_as_integers_rejected(self, objects, attributes):
+        # int() reads each of these as a number of 1..3; only "1", "2", "3" are labels.
+        ctx = FormalContext(objects, attributes, "0" * (len(objects) * len(attributes)))
+        with pytest.raises(InputError, match=r"^context labels must partition 1\.\.3, got "):
+            context_log_probability(ModelParams(3, 0.5, 0.5), ctx)
 
 
 class TestSampleSpace:
@@ -249,7 +280,7 @@ def test_packed_sampler_matches_the_per_word_oracle(lanes, n, p, q, seed):
     params = ModelParams(n, p, q)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_LANES", lanes)
-        ctx = sample_context(params, Seed(seed))
+        ctx = sample_context(params, seed)
     assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, seed)
 
 
@@ -286,4 +317,4 @@ def test_draw_size_is_bounded_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(model, "_bernoulli_digits", boom)
     with pytest.raises(SizeError, match="n <= 5000, got 5001"):
-        sample_context(ModelParams(5001, 0.5, 0.5), Seed(1))
+        sample_context(ModelParams(5001, 0.5, 0.5), 1)

@@ -6,7 +6,6 @@ import pytest
 from randfca import (
     InputError,
     ModelParams,
-    Seed,
     SizeError,
     compare_with_exact,
     estimate,
@@ -15,7 +14,7 @@ from randfca import (
 
 
 def test_n1_is_constant():
-    result = estimate(ModelParams(1, 0.5, 0.5), 100, Seed(0))
+    result = estimate(ModelParams(1, 0.5, 0.5), 100, 0)
     assert result.mean == 1.0
     assert result.stderr == 0.0
     assert result.ci95_low == result.ci95_high == 1.0
@@ -23,14 +22,14 @@ def test_n1_is_constant():
 
 
 def test_q_one_is_constant():
-    result = estimate(ModelParams(10, 0.5, 1.0), 100, Seed(4))
+    result = estimate(ModelParams(10, 0.5, 1.0), 100, 4)
     assert result.mean == 1.0
     assert result.stderr == 0.0
 
 
 def test_estimates_track_the_exact_value():
     params = ModelParams(8, 0.5, 0.5)
-    result = estimate(params, 4000, Seed(11))
+    result = estimate(params, 4000, 11)
     exact = expected_concepts(params).value
     assert abs(result.mean - exact) <= 5 * result.stderr
     assert result.min_count >= 1
@@ -39,8 +38,8 @@ def test_estimates_track_the_exact_value():
 
 def test_worker_count_does_not_change_results():
     params = ModelParams(7, 0.4, 0.6)
-    serial = estimate(params, 500, Seed(21), workers=1)
-    parallel = estimate(params, 500, Seed(21), workers=3)
+    serial = estimate(params, 500, 21, workers=1)
+    parallel = estimate(params, 500, 21, workers=3)
     assert serial == parallel
 
 
@@ -63,43 +62,43 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     params = ModelParams(6, 0.5, 0.5)
-    result = estimate(params, 8, Seed(3), workers=10**6)
+    result = estimate(params, 8, 3, workers=10**6)
     assert len(sizes) == 1
     assert sizes[0] <= (os.cpu_count() or 1)
-    assert result == estimate(params, 8, Seed(3), workers=1)
+    assert result == estimate(params, 8, 3, workers=1)
 
 
 def test_reproducible():
     params = ModelParams(6, 0.5, 0.5)
-    assert estimate(params, 300, Seed(5)) == estimate(params, 300, Seed(5))
+    assert estimate(params, 300, 5) == estimate(params, 300, 5)
 
 
 def test_more_samples_shrink_stderr():
     params = ModelParams(8, 0.5, 0.5)
-    small = estimate(params, 2000, Seed(8))
-    large = estimate(params, 4000, Seed(8))
+    small = estimate(params, 2000, 8)
+    large = estimate(params, 4000, 8)
     assert large.stderr <= small.stderr * 1.2
 
 
 def test_compare_with_exact_small_case():
-    comparison = compare_with_exact(ModelParams(2, 0.5, 0.5), 5000, Seed(13))
+    comparison = compare_with_exact(ModelParams(2, 0.5, 0.5), 5000, 13)
     assert comparison.exact == pytest.approx(1.25, abs=1e-12)
     assert abs(comparison.z) <= 5
 
 
 def test_compare_with_exact_degenerate_stderr():
-    comparison = compare_with_exact(ModelParams(1, 0.3, 0.9), 100, Seed(2))
+    comparison = compare_with_exact(ModelParams(1, 0.3, 0.9), 100, 2)
     assert comparison.estimate.stderr == 0.0
     assert comparison.z == 0.0
 
 
 def test_guards():
     with pytest.raises(InputError):
-        estimate(ModelParams(3, 0.5, 0.5), 1, Seed(0))
+        estimate(ModelParams(3, 0.5, 0.5), 1, 0)
     with pytest.raises(InputError):
-        estimate(ModelParams(3, 0.5, 0.5), 10, Seed(0), workers=0)
+        estimate(ModelParams(3, 0.5, 0.5), 10, 0, workers=0)
     with pytest.raises(SizeError):
-        estimate(ModelParams(41, 0.5, 0.5), 10, Seed(0))
+        estimate(ModelParams(41, 0.5, 0.5), 10, 0)
 
 
 def test_sample_count_is_bounded_before_any_sample(monkeypatch):
@@ -109,7 +108,7 @@ def test_sample_count_is_bounded_before_any_sample(monkeypatch):
     monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
     for samples in (10**5 + 1, 10**12):
         with pytest.raises(SizeError, match=f"at most 100000 samples, got {samples}"):
-            estimate(ModelParams(1, 0.5, 0.5), samples, Seed(1))
+            estimate(ModelParams(1, 0.5, 0.5), samples, 1)
 
 
 @pytest.mark.parametrize("n,samples,most", [(40, 6251, 6250), (11, 10**5, 82644)])
@@ -121,7 +120,7 @@ def test_samples_times_n_squared_is_bounded_before_any_sample(monkeypatch, n, sa
     started = time.perf_counter()
     message = f"Monte Carlo at n = {n} supports at most {most} samples, got {samples}"
     with pytest.raises(SizeError, match=message):
-        estimate(ModelParams(n, 0.5, 0.85), samples, Seed(1))
+        estimate(ModelParams(n, 0.5, 0.85), samples, 1)
     assert time.perf_counter() - started < 1.0
 
 
@@ -132,4 +131,4 @@ def test_samples_times_n_squared_at_the_bound_is_accepted(monkeypatch):
 
     monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
     with pytest.raises(AssertionError, match="a sample was drawn"):
-        estimate(ModelParams(40, 0.5, 0.85), 6250, Seed(1))
+        estimate(ModelParams(40, 0.5, 0.85), 6250, 1)
