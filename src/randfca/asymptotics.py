@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .errors import DomainError, InputError, SizeError
+from .errors import DomainError, integer, quote
 from .expectation import Composition4
 
 _LN2 = math.log(2.0)
@@ -56,8 +56,7 @@ def split_indices(n: int) -> Composition4:
     b - a = n mod 2; c = d = floor(n/2) - a, never negative, since
     floor(n/2) >= 2**(a-1) >= a.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = integer(n, "n", low=1)
     a = n.bit_length() - 1
     b = a + (n & 1)
     c = (n >> 1) - a
@@ -83,8 +82,7 @@ def log_split_term(n: int) -> float:
     with the multinomial via log-gamma, for 1 <= n <= MAX_SPLIT_N. n = 1
     is degenerate (the term is just 1/2) and triggers a warning.
     """
-    if n > MAX_SPLIT_N:
-        raise SizeError(f"the split term is evaluated for n <= 10**12, got {n}")
+    n = integer(n, "n", low=1, high=MAX_SPLIT_N, bounded_by="the split term")
     if n == 1:
         warnings.warn(
             "log_split_term(1) is degenerate (the gap is undefined at n = 1)",
@@ -126,9 +124,10 @@ def threshold_holds(n: int) -> bool:
 def table_report(ns: Sequence[int]) -> list[AsymptoticRow]:
     """One diagnostic row per n (each n >= 2, checked before any term is
     evaluated), from one evaluation of the split term."""
+    ns = [integer(n, "n") for n in ns]
     for n in ns:
         if n < 2:
-            raise DomainError(f"relative gap requires n >= 2, got {n}")
+            raise DomainError(f"relative gap requires n >= 2, got {quote(n)}")
     rows = []
     for n in ns:
         log_term = log_split_term(n)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import InputError, SizeError, quote
+from .errors import InputError, SizeError, integer, quote
 
 MAX_SCAN_OBJECTS = 20
 
@@ -107,6 +107,10 @@ class FormalContext:
         cls, objects: Sequence[str], attributes: Sequence[str], rows: Sequence[int]
     ) -> "FormalContext":
         """Build from integer bit rows (bit j of row i = incidence); bits >= |M| are ignored."""
+        try:
+            rows = [operator.index(row) for row in rows]
+        except TypeError:
+            raise InputError(f"bit rows must be a sequence of ints, got {quote(rows)}") from None
         return cls(objects, attributes, _bit_row_digits(rows, len(objects), len(attributes)))
 
     @property
@@ -350,8 +354,7 @@ def contranomial(k: int) -> FormalContext:
 
     Has exactly 2**k concepts, the worst case for k objects.
     """
-    if k < 1:
-        raise InputError(f"contranomial size must be >= 1, got {k}")
+    k = integer(k, "contranomial size", low=1)
     labels = tuple(str(i) for i in range(1, k + 1))
     # The diagonal's zeros are every (k + 1)-th digit, from the first.
     return FormalContext(labels, labels, (("0" + "1" * k) * k)[: k * k])
@@ -368,8 +371,8 @@ def full_relation(g: int, m: int) -> FormalContext:
 
 
 def _constant_relation(g: int, m: int, digit: str) -> FormalContext:
-    if g < 0 or m < 0:
-        raise InputError(f"sizes must be >= 0, got ({g}, {m})")
+    g = integer(g, "object count", low=0)
+    m = integer(m, "attribute count", low=0)
     return FormalContext(*_default_labels(g, m), digit * (g * m))
 
 

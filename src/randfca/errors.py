@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and how messages quote input
-and write exact fractions."""
+"""Exception types shared across the package, how messages quote input and
+write exact fractions, and `integer`, the one gate through which every count
+argument (a size, a sample count, an index, an exponent) is taken."""
 
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -45,7 +47,8 @@ _QUOTE_LIMIT = 40
 
 def quote(value: object) -> str:
     """How an error message shows a caller's value: its repr, or
-    fraction_text for an int or Fraction past the int-to-str digit limit.
+    fraction_text for an int or Fraction past the int-to-str digit limit
+    (for another value whose repr meets that limit, <its type name>).
     A form longer than _QUOTE_LIMIT characters (for a text, the text itself)
     is cut to its first _QUOTE_LIMIT characters, followed by its length."""
     if isinstance(value, str):
@@ -53,8 +56,9 @@ def quote(value: object) -> str:
     else:
         try:
             text = repr(value)
-        except ValueError:
-            text = fraction_text(value)
+        except ValueError:  # an int past the int-to-str digit limit, or holding one
+            numeric = isinstance(value, (int, Fraction))
+            text = fraction_text(value) if numeric else f"<{type(value).__name__}>"
         show = str
     if len(text) <= _QUOTE_LIMIT:
         return show(text)
@@ -67,3 +71,22 @@ def fraction_text(value: Fraction) -> str:
     if value.denominator == 1:
         return str(Decimal(value.numerator))
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
+def integer(
+    value: object, what: str, low: int | None = None, high: int | None = None, bounded_by: str = ""
+) -> int:
+    """`value` as an int, through operator.index, in [low, high] where given.
+
+    A non-integer and a value below `low` are an InputError, a value above
+    `high` a SizeError naming `bounded_by`; each message quotes the value.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {quote(value)}") from None
+    if low is not None and n < low:
+        raise InputError(f"{what} must be >= {low}, got {quote(value)}")
+    if high is not None and n > high:
+        raise SizeError(f"{bounded_by} supports {what} <= {high}, got {quote(value)}")
+    return n

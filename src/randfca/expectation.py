@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .context import count_concepts
-from .errors import InputError, SizeError, fraction_text, quote
+from .errors import InputError, SizeError, fraction_text, integer, quote
 from .logspace import log_one_minus_pow, log_sum_exp
 from .model import ModelParams, context_log_probability, enumerate_sample_space
 
@@ -68,8 +68,7 @@ class Composition4:
 
     def __post_init__(self) -> None:
         for name, part in vars(self).items():
-            if part < 0:
-                raise InputError(f"composition part {name} must be >= 0, got {quote(part)}")
+            object.__setattr__(self, name, integer(part, f"composition part {name}", low=0))
 
     @property
     def total(self) -> int:
@@ -94,8 +93,7 @@ def composition_count(n: int) -> int:
 
 def composition_iter(n: int) -> Iterator[Composition4]:
     """All length-4 compositions of n, lexicographic in (a, b, c)."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = integer(n, "n", low=1)
 
     def generate() -> Iterator[Composition4]:
         for a in range(n + 1):
@@ -116,7 +114,7 @@ def log_term(params: ModelParams, comp: Composition4) -> float:
     """
     if comp.total != params.n:
         raise InputError(
-            f"composition {comp} sums to {comp.total}, expected n = {params.n}"
+            f"composition {quote(comp)} sums to {quote(comp.total)}, expected n = {quote(params.n)}"
         )
     a, b, c, d = comp.a, comp.b, comp.c, comp.d
     p, q = params.p, params.q
@@ -166,9 +164,8 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
     cannot overflow, since E <= 2**(n // 2) and MAX_EXPECT_N <= 2047; a
     larger bound must handle the overflow there.
     """
-    n, p, q = params.n, params.p, params.q
-    if n > MAX_EXPECT_N:
-        raise SizeError(f"float evaluation supports n <= {MAX_EXPECT_N}, got {n}")
+    n = integer(params.n, "n", high=MAX_EXPECT_N, bounded_by="float evaluation")
+    p, q = params.p, params.q
     log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
     log_miss = [log_one_minus_pow(q, k) for k in range(n + 1)]
     log_p = math.log(p) if p > 0.0 else -math.inf
@@ -216,10 +213,7 @@ def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
     slowest accepted input measured, n = 192 at p = 12345/33554393,
     q = 3/7 (32448 bits), takes 4.2 s on one core of an Intel Xeon.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if n > MAX_EXACT_N:
-        raise SizeError(f"exact evaluation supports n <= {MAX_EXACT_N}, got {n}")
+    n = integer(n, "n", low=1, high=MAX_EXACT_N, bounded_by="exact evaluation")
     p = Fraction(p)
     q = Fraction(q)
     if not 0 <= p <= 1:
@@ -259,11 +253,8 @@ def expected_concepts_bruteforce(params: ModelParams) -> float:
 
     Independent of the composition-sum formula; exponentially expensive.
     """
-    if params.n > MAX_BRUTEFORCE_N:
-        raise SizeError(
-            f"brute-force averaging supports n <= {MAX_BRUTEFORCE_N}, got {params.n}"
-        )
+    n = integer(params.n, "n", high=MAX_BRUTEFORCE_N, bounded_by="brute-force averaging")
     return math.fsum(
         count_concepts(ctx) * math.exp(context_log_probability(params, ctx))
-        for ctx in enumerate_sample_space(params.n)
+        for ctx in enumerate_sample_space(n)
     )

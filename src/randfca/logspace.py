@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, integer, quote
 
 _LN2 = math.log(2.0)
 
@@ -25,7 +25,7 @@ def log1mexp(x: float) -> float:
     -ln 2). Returns -inf at x == 0.
     """
     if x > 0.0:
-        raise InputError(f"log1mexp requires x <= 0, got {x}")
+        raise InputError(f"log1mexp requires x <= 0, got {quote(x)}")
     if x == 0.0:
         return float("-inf")
     if x > -_LN2:
@@ -40,10 +40,9 @@ def log_one_minus_pow(base: float, exponent: int) -> float:
     exponent keeps full precision. Returns -inf when base**exponent == 1
     (exponent 0, or base 1).
     """
-    if exponent < 0:
-        raise InputError(f"exponent must be >= 0, got {exponent}")
+    exponent = integer(exponent, "exponent", low=0)
     if not 0.0 <= base <= 1.0:
-        raise InputError(f"base must be in [0, 1], got {base}")
+        raise InputError(f"base must be in [0, 1], got {quote(base)}")
     if exponent == 0 or base == 1.0:
         return float("-inf")
     if base == 0.0:

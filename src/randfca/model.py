@@ -35,12 +35,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .context import FormalContext
-from .errors import InputError, SizeError, quote
+from .errors import InputError, integer, quote
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -59,16 +58,9 @@ _LANES = 1024
 _NEGATED_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
-def _integer(value: object, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {quote(value)}") from None
-
-
 def _master_of(seed: int) -> int:
     """The seed modulo 2**64."""
-    return _integer(seed, "seed") & MASK64
+    return integer(seed, "seed") & MASK64
 
 
 def mix64(x: int) -> int:
@@ -81,9 +73,7 @@ def mix64(x: int) -> int:
 
 def derive_seed(master: int, index: int) -> int:
     """Seed for batch sample `index` (the SplitMix64 output at that offset)."""
-    index = _integer(index, "sample index")
-    if index < 0:
-        raise InputError(f"sample index must be >= 0, got {quote(index)}")
+    index = integer(index, "sample index", low=0)
     m = _master_of(master)
     return mix64((m + GOLDEN_GAMMA * (index + 1)) & MASK64)
 
@@ -141,8 +131,7 @@ class ModelParams:
     q: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"n must be a positive integer, got {quote(self.n)}")
+        object.__setattr__(self, "n", integer(self.n, "n", low=1))
         for name in ("p", "q"):
             value = getattr(self, name)
             try:
@@ -159,9 +148,7 @@ def _draw(params: ModelParams, seed: int) -> tuple[str, bytes]:
     incidence digits of the objects against the attributes they leave;
     n is bounded by MAX_DRAW_N, checked before any draw."""
     master = _master_of(seed)
-    n = params.n
-    if n > MAX_DRAW_N:
-        raise SizeError(f"drawing a context supports n <= {MAX_DRAW_N}, got {n}")
+    n = integer(params.n, "n", high=MAX_DRAW_N, bounded_by="drawing a context")
     sides = b"".join(_bernoulli_digits(master, 0, n, params.p)).decode()
     g = sides.count("1")
     # The incidence words follow, one per pair in row-major order.
@@ -191,7 +178,9 @@ def _check_universe_labels(ctx: FormalContext, n: int) -> None:
     first, so the set of n labels is built only for a context that size."""
     labels = ctx.objects + ctx.attributes
     if len(labels) != n or set(labels) != {str(i) for i in range(1, n + 1)}:
-        raise InputError(f"context labels must partition 1..{n}, got {quote(sorted(labels))}")
+        raise InputError(
+            f"context labels must partition 1..{quote(n)}, got {quote(sorted(labels))}"
+        )
 
 
 def context_log_probability(params: ModelParams, ctx: FormalContext) -> float:
@@ -225,12 +214,7 @@ def enumerate_sample_space(n: int) -> Iterator[FormalContext]:
     All 2**n side assignments, times all 2**(|G|*|M|) incidence relations;
     the count grows doubly exponentially, hence the small-n guard.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if n > MAX_SAMPLE_SPACE_N:
-        raise SizeError(
-            f"sample space enumeration supports n <= {MAX_SAMPLE_SPACE_N}, got {n}"
-        )
+    n = integer(n, "n", low=1, high=MAX_SAMPLE_SPACE_N, bounded_by="sample space enumeration")
 
     def generate() -> Iterator[FormalContext]:
         for sides in itertools.product("10", repeat=n):

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .context import count_concepts
-from .errors import InputError, SizeError
+from .errors import SizeError, integer, quote
 from .expectation import expected_concepts
 from .model import ModelParams, _master_of, derive_seed, sample_context
 
@@ -70,18 +70,17 @@ def estimate(
     `workers`. samples is bounded by MAX_MC_SAMPLES, n by MAX_MC_N and
     samples * n**2 by MAX_MC_WORK, all checked before any work.
     """
-    if samples < 2:
-        raise InputError(f"need at least 2 samples, got {samples}")
+    samples = integer(samples, "samples", low=2)
     if samples > MAX_MC_SAMPLES:
-        raise SizeError(f"Monte Carlo supports at most {MAX_MC_SAMPLES} samples, got {samples}")
-    if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
-    if params.n > MAX_MC_N:
-        raise SizeError(f"Monte Carlo supports n <= {MAX_MC_N}, got {params.n}")
-    if samples * params.n**2 > MAX_MC_WORK:
         raise SizeError(
-            f"Monte Carlo at n = {params.n} supports at most"
-            f" {MAX_MC_WORK // params.n**2} samples, got {samples}"
+            f"Monte Carlo supports at most {MAX_MC_SAMPLES} samples, got {quote(samples)}"
+        )
+    workers = integer(workers, "workers", low=1)
+    n = integer(params.n, "n", high=MAX_MC_N, bounded_by="Monte Carlo")
+    if samples * n**2 > MAX_MC_WORK:
+        raise SizeError(
+            f"Monte Carlo at n = {n} supports at most"
+            f" {MAX_MC_WORK // n**2} samples, got {samples}"
         )
     master = _master_of(seed)
     count = functools.partial(_count_sample, params, master)
