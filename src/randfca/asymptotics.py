@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Sequence
 
 from .errors import DomainError, integer, quote
@@ -67,8 +67,10 @@ def bounded_correction(n: int) -> float:
     """Log contribution of the two near-one factors at the split.
 
     Equals d*ln(1 - 2**-a) + c*ln(1 - 2**-b); its magnitude stays below 2
-    for every n > 2, so it never disturbs the leading growth.
+    for every n > 2, so it never disturbs the leading growth. Takes
+    1 <= n <= MAX_SPLIT_N, as log_split_term does.
     """
+    n = integer(n, "n", low=1, high=MAX_SPLIT_N, bounded_by="the split term")
     split = split_indices(n)
     if not split.c:
         return 0.0
@@ -145,9 +147,14 @@ def table_report(ns: Sequence[int]) -> list[AsymptoticRow]:
 
 
 def round_half_up(x: float, places: int = 3) -> float:
-    """Decimal half-up rounding of the exact binary value of x."""
-    exponent = Decimal(1).scaleb(-places)
-    return float(Decimal(x).quantize(exponent, rounding=ROUND_HALF_UP))
+    """Decimal half-up rounding of the exact binary value of x; a
+    non-finite x is returned unchanged."""
+    if not math.isfinite(x):
+        return x
+    exact = Decimal(x)
+    # Digits before the point, `places` after it, and one for a carry.
+    context = Context(prec=max(1, exact.adjusted() + places + 2))
+    return float(exact.quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP, context))
 
 
 DEFAULT_TABLE_NS = tuple(10**k for k in range(1, 11))

@@ -20,8 +20,9 @@ evaluation paths sum the C(n+2, 2) collapsed terms over a + b <= n:
 
 `expected_concepts` takes their logs (log-gamma factorials, the
 (1 - q**k) factors via expm1/log1p, the bracket as a log-sum of its two
-nonnegative parts so it never cancels) and adds them with the package's
-one log-sum-exp, `logspace.log_sum_exp`; its report counts the
+nonnegative parts so it never cancels, added by the two-term
+`_log_add_exp`) and adds them with `logspace.log_sum_exp`, the package's
+one log-sum-exp over a sequence; its report counts the
 collapsed terms, `terms_evaluated` nonzero and `terms_skipped_zero` zero.
 `expected_concepts_exact` gives the value as a rational, for
 n <= MAX_EXACT_N = 192 and a common denominator of at most MAX_EXACT_BITS
@@ -55,6 +56,9 @@ MAX_BRUTEFORCE_N = 5
 MAX_EXPECT_N = 2000
 MAX_EXACT_N = 192
 MAX_EXACT_BITS = 2**15
+# log_term takes n up to the split term's bound, so that n!, a*b and every
+# other count it converts to float stays in range.
+MAX_TERM_N = 10**12
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,10 @@ def log_term(params: ModelParams, comp: Composition4) -> float:
     Each factor with a positive exponent adds exponent * log(base), with
     log 0 = -inf, so the term is zero as soon as one such base is 0; in
     particular (1 - q**a)**d is zero for d > 0 with a == 0 (since q**0 is
-    1), and likewise for the c-factor with b == 0.
+    1), and likewise for the c-factor with b == 0. n <= MAX_TERM_N = 10**12
+    is checked first.
     """
+    integer(params.n, "n", high=MAX_TERM_N, bounded_by="one summand")
     if comp.total != params.n:
         raise InputError(
             f"composition {quote(comp)} sums to {quote(comp.total)}, expected n = {quote(params.n)}"
@@ -202,6 +208,18 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
     )
 
 
+def _probability(value: object, name: str) -> Fraction:
+    """value as a Fraction in [0, 1]; anything Fraction() refuses (None, a
+    text it cannot read, nan, inf) is out of range too."""
+    try:
+        x = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be in [0, 1], got {quote(value)}") from None
+    if not 0 <= x <= 1:
+        raise InputError(f"{name} must be in [0, 1], got {quote(fraction_text(x))}")
+    return x
+
+
 def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
     """Exact rational value of the average, for rational p and q.
 
@@ -214,12 +232,8 @@ def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
     q = 3/7 (32448 bits), takes 4.2 s on one core of an Intel Xeon.
     """
     n = integer(n, "n", low=1, high=MAX_EXACT_N, bounded_by="exact evaluation")
-    p = Fraction(p)
-    q = Fraction(q)
-    if not 0 <= p <= 1:
-        raise InputError(f"p must be in [0, 1], got {quote(fraction_text(p))}")
-    if not 0 <= q <= 1:
-        raise InputError(f"q must be in [0, 1], got {quote(fraction_text(q))}")
+    p = _probability(p, "p")
+    q = _probability(q, "q")
     u, v = p.numerator, p.denominator
     s, t = q.numerator, q.denominator
     top = (n // 2) * (n - n // 2)

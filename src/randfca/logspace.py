@@ -5,7 +5,8 @@ orders of magnitude, so they are carried as natural logarithms. An exact
 zero is carried as log 0 = -inf, its only representation, so a product
 with a zero factor is a sum that reaches -inf with no special case.
 Sums of such values go through :func:`log_sum_exp`, the package's one
-log-sum-exp.
+log-sum-exp over a sequence; `expectation._log_add_exp` is a second,
+two-term one, for the bracket of each collapsed term.
 """
 
 from __future__ import annotations
@@ -22,15 +23,19 @@ def log1mexp(x: float) -> float:
     """log(1 - exp(x)) for x <= 0, accurate near both endpoints.
 
     Uses expm1 for x close to 0 and log1p otherwise (the usual switch at
-    -ln 2). Returns -inf at x == 0.
+    -ln 2). Returns -inf at x == 0, and -0.0 for an int x below the float
+    range, where exp(x) is 0. NaN is refused, as is any x > 0.
     """
-    if x > 0.0:
+    if not x <= 0.0:
         raise InputError(f"log1mexp requires x <= 0, got {quote(x)}")
     if x == 0.0:
         return float("-inf")
     if x > -_LN2:
         return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
+    try:
+        return math.log1p(-math.exp(x))
+    except OverflowError:  # an int x too large to convert to float
+        return -0.0
 
 
 def log_one_minus_pow(base: float, exponent: int) -> float:
@@ -38,7 +43,8 @@ def log_one_minus_pow(base: float, exponent: int) -> float:
 
     Routed through :func:`log1mexp` so that base near 1 with a large
     exponent keeps full precision. Returns -inf when base**exponent == 1
-    (exponent 0, or base 1).
+    (exponent 0, or base 1), and -0.0 for base < 1 with an exponent past the
+    float range, where base**exponent is 0.
     """
     exponent = integer(exponent, "exponent", low=0)
     if not 0.0 <= base <= 1.0:
@@ -47,7 +53,11 @@ def log_one_minus_pow(base: float, exponent: int) -> float:
         return float("-inf")
     if base == 0.0:
         return 0.0
-    return log1mexp(exponent * math.log(base))
+    try:
+        x = exponent * math.log(base)
+    except OverflowError:  # an exponent too large to convert to float
+        return -0.0
+    return log1mexp(x)
 
 
 def log_sum_exp(values: Iterable[float]) -> float:

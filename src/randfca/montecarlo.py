@@ -67,21 +67,16 @@ def estimate(
     """Estimate the average concept count from independent samples.
 
     Bit-identical for fixed (params, samples, seed) regardless of
-    `workers`. samples is bounded by MAX_MC_SAMPLES, n by MAX_MC_N and
-    samples * n**2 by MAX_MC_WORK, all checked before any work.
+    `workers`. n is bounded by MAX_MC_N, then samples by one limit,
+    min(MAX_MC_SAMPLES, MAX_MC_WORK // n**2), all checked before any work.
     """
     samples = integer(samples, "samples", low=2)
-    if samples > MAX_MC_SAMPLES:
-        raise SizeError(
-            f"Monte Carlo supports at most {MAX_MC_SAMPLES} samples, got {quote(samples)}"
-        )
     workers = integer(workers, "workers", low=1)
     n = integer(params.n, "n", high=MAX_MC_N, bounded_by="Monte Carlo")
-    if samples * n**2 > MAX_MC_WORK:
-        raise SizeError(
-            f"Monte Carlo at n = {n} supports at most"
-            f" {MAX_MC_WORK // n**2} samples, got {samples}"
-        )
+    most = min(MAX_MC_SAMPLES, MAX_MC_WORK // n**2)
+    if samples > most:
+        at = f" at n = {n}" if most < MAX_MC_SAMPLES else ""
+        raise SizeError(f"Monte Carlo{at} supports at most {most} samples, got {quote(samples)}")
     master = _master_of(seed)
     count = functools.partial(_count_sample, params, master)
     if workers == 1:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from randfca import (
@@ -9,6 +12,7 @@ from randfca import (
     ModelParams,
     SerializationError,
     SizeError,
+    bounded_correction,
     composition_iter,
     context_log_probability,
     contranomial,
@@ -21,9 +25,11 @@ from randfca import (
     expected_concepts_bruteforce,
     expected_concepts_exact,
     full_relation,
+    log1mexp,
     log_one_minus_pow,
     log_split_term,
     log_term,
+    round_half_up,
     sample_context,
     split_indices,
     table_report,
@@ -93,6 +99,16 @@ def _labelled_from_two(n):
         (lambda: log_term(SMALL, Composition4(HUGE, 0, 0, 0)), InputError),
         (lambda: FormalContext.from_bit_rows(["g"], ["m"], [1.5]), InputError),
         (lambda: FormalContext.from_bit_rows(["g"], ["m"], 5), InputError),
+        (lambda: contranomial(HUGE), SizeError),
+        (lambda: empty_relation(HUGE, 1), SizeError),
+        (lambda: full_relation(1, HUGE), SizeError),
+        (lambda: bounded_correction(HUGE), SizeError),
+        (lambda: log_term(ModelParams(10**400, 0.5, 0.5), Composition4(10**400, 0, 0, 0)), SizeError),
+        (lambda: expected_concepts_exact(2, None, Fraction(1, 2)), InputError),
+        (lambda: expected_concepts_exact(2, "abc", Fraction(1, 2)), InputError),
+        (lambda: expected_concepts_exact(2, math.nan, Fraction(1, 2)), InputError),
+        (lambda: expected_concepts_exact(2, math.inf, Fraction(1, 2)), InputError),
+        (lambda: log1mexp(math.nan), InputError),
     ],
     ids=[
         "long-algorithm", "unhashable-algorithm", "unhashable-count-algorithm",
@@ -115,6 +131,10 @@ def _labelled_from_two(n):
         "float-exponent", "negative-exponent",
         "huge-composition-total",
         "float-bit-row", "bit-rows-not-a-sequence",
+        "contranomial-huge-size", "empty-huge-objects", "full-huge-attributes",
+        "correction-huge-n", "summand-huge-n",
+        "exact-none-p", "exact-text-p", "exact-nan-p", "exact-inf-p",
+        "log1mexp-nan",
     ],
 )
 def test_messages_quoting_a_callers_value_stay_short(call, error):
@@ -122,6 +142,16 @@ def test_messages_quoting_a_callers_value_stay_short(call, error):
         call()
     assert type(raised.value) is error
     assert len(str(raised.value)) < 200
+
+
+def test_values_past_the_float_range_give_their_limit():
+    assert str(log1mexp(-HUGE)) == "-0.0"
+    assert str(log_one_minus_pow(0.5, HUGE)) == "-0.0"
+    assert round_half_up(1e25) == 1e25
+    assert round_half_up(-1.7976931348623157e308) == -1.7976931348623157e308
+    assert round_half_up(-math.inf) == -math.inf
+    assert round_half_up(math.inf) == math.inf
+    assert math.isnan(round_half_up(math.nan))
 
 
 def test_short_values_keep_their_repr():

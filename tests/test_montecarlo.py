@@ -111,7 +111,9 @@ def test_sample_count_is_bounded_before_any_sample(monkeypatch):
             estimate(ModelParams(1, 0.5, 0.5), samples, 1)
 
 
-@pytest.mark.parametrize("n,samples,most", [(40, 6251, 6250), (11, 10**5, 82644)])
+@pytest.mark.parametrize(
+    "n,samples,most", [(40, 6251, 6250), (11, 10**5, 82644), (20, 100001, 25000)]
+)
 def test_samples_times_n_squared_is_bounded_before_any_sample(monkeypatch, n, samples, most):
     def boom(*args):
         raise AssertionError("a sample was drawn")
@@ -122,6 +124,21 @@ def test_samples_times_n_squared_is_bounded_before_any_sample(monkeypatch, n, sa
     with pytest.raises(SizeError, match=message):
         estimate(ModelParams(n, 0.5, 0.85), samples, 1)
     assert time.perf_counter() - started < 1.0
+
+
+def test_one_sample_limit_at_every_n(monkeypatch):
+    # The largest accepted count is min(10**5, 10**7 // n**2); one more is
+    # refused before any draw.
+    def boom(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
+    for n in range(1, 41):
+        most = min(10**5, 10**7 // n**2)
+        with pytest.raises(AssertionError, match="a sample was drawn"):
+            estimate(ModelParams(n, 0.5, 0.5), most, 1)
+        with pytest.raises(SizeError, match=f"supports at most {most} samples, got {most + 1}$"):
+            estimate(ModelParams(n, 0.5, 0.5), most + 1, 1)
 
 
 def test_samples_times_n_squared_at_the_bound_is_accepted(monkeypatch):
