@@ -24,22 +24,23 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Sequence
 
-from .errors import DomainError, integer, quote
+from .errors import DomainError, InputError, integer, quote
 from .expectation import Composition4
+from .record import Record
 
 _LN2 = math.log(2.0)
 # Beyond this, cancellation among the log-gamma terms of log_split_term
 # costs more than the table's 3 decimals of the gap (absolute error in the
 # log about 2e-3 at 10**12, 8.5 at 10**15).
 MAX_SPLIT_N = 10**12
+# A float's exact value has at most this many digits after the point and
+# fewer before it, so rounding to more places either way changes nothing.
+MAX_ROUND_PLACES = 1074
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(Record):
     """One row of the growth-diagnostic table."""
 
     n: int
@@ -147,11 +148,19 @@ def table_report(ns: Sequence[int]) -> list[AsymptoticRow]:
 
 
 def round_half_up(x: float, places: int = 3) -> float:
-    """Decimal half-up rounding of the exact binary value of x; a
-    non-finite x is returned unchanged."""
-    if not math.isfinite(x):
-        return x
-    exact = Decimal(x)
+    """Decimal half-up rounding of the exact binary value of x to `places`
+    digits after the point, |places| <= MAX_ROUND_PLACES = 1074; a
+    non-finite x is returned unchanged. x is a float, or an int in the
+    float range."""
+    places = integer(places, "places", -MAX_ROUND_PLACES, MAX_ROUND_PLACES, "rounding")
+    from decimal import ROUND_HALF_UP, Context, Decimal
+
+    try:
+        if not math.isfinite(x):
+            return x
+        exact = Decimal(x)
+    except (TypeError, OverflowError):  # OverflowError: an int past the float range
+        raise InputError(f"rounding requires a float, got {quote(x)}") from None
     # Digits before the point, `places` after it, and one for a carry.
     context = Context(prec=max(1, exact.adjusted() + places + 2))
     return float(exact.quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP, context))

@@ -15,8 +15,7 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import Concept, FormalContext, count_concepts, enumerate_concepts
@@ -34,6 +33,9 @@ from .expectation import (
 )
 from .model import MAX_DRAW_N, ModelParams, _draw
 from .montecarlo import MAX_MC_N, MAX_MC_SAMPLES, MAX_MC_WORK, compare_with_exact, estimate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VERIFY_MAX_N = 4
@@ -113,6 +115,8 @@ def _parse_prob(option: str, text: str, rational: bool) -> float | Fraction:
     try:
         if not rational:
             return float(text)
+        from fractions import Fraction
+
         # Fraction builds 10**exponent: bound the exponent before that.
         _, marker, exponent = text.lower().rpartition("e")
         value = Fraction(text) if not marker or abs(int(exponent)) <= _MAX_EXPONENT else None

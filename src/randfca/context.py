@@ -41,11 +41,11 @@ threads; enumeration itself is single-threaded.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, SizeError, integer, quote
+from .record import Record
 
 MAX_SCAN_OBJECTS = 20
 
@@ -62,8 +62,7 @@ MAX_BUILT_SIDE = 5000
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True, init=False)
-class FormalContext:
+class FormalContext(Record):
     """An immutable (objects, attributes, incidence) triple.
 
     Labels are carried for presentation and file round-trips only; they
@@ -75,7 +74,8 @@ class FormalContext:
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     _rows: tuple[int, ...]
-    _cols: tuple[int, ...] = field(repr=False, compare=False)
+    # _cols, the bit columns, is set by __init__ but is no field: it is
+    # derived from _rows, so it is left out of the repr, equality and hash.
 
     def __init__(
         self, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
@@ -102,10 +102,7 @@ class FormalContext:
         data = data[::-1]
         rows = tuple([int(data[k * m : k * m + m] or b"0", 2) for k in reversed(range(g))])
         cols = tuple([int(data[m - 1 - j :: m] or b"0", 2) for j in range(m)])
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
+        self.__dict__.update(objects=objects, attributes=attributes, _rows=rows, _cols=cols)
 
     @classmethod
     def from_bit_rows(
@@ -158,8 +155,7 @@ def _meet(words: tuple[int, ...], mask: int, result: int) -> int:
     return result
 
 
-@dataclass(frozen=True, init=False)
-class Concept:
+class Concept(Record):
     """An (extent, intent) pair of index sets, fixed by both derivations.
 
     Each side is stored as a bit mask (bit i set iff index i is in it), so

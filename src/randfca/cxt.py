@@ -20,10 +20,9 @@ with 'X' for '1' and '.' for '0'; the context module maps them to bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .context import FormalContext, _bit_row_digits
 from .errors import ParseError, SerializationError, quote
+from .record import Record
 
 
 # str.translate tables between incidence characters and binary digits;
@@ -33,8 +32,7 @@ _BIT_TO_CROSS = str.maketrans("10", "X.")
 _NOT_A_CROSS = str.maketrans("", "", "X.")
 
 
-@dataclass(frozen=True)
-class CxtDocument:
+class CxtDocument(Record):
     """A context plus the optional title text a file may carry."""
 
     context: FormalContext

@@ -2,9 +2,13 @@
 write exact fractions, and `integer`, the one gate through which every count
 argument (a size, a sample count, an index, an exponent) is taken."""
 
+from __future__ import annotations
+
 import operator
-from decimal import Decimal
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RandFcaError(Exception):
@@ -57,6 +61,8 @@ def quote(value: object) -> str:
         try:
             text = repr(value)
         except ValueError:  # an int past the int-to-str digit limit, or holding one
+            from fractions import Fraction
+
             numeric = isinstance(value, (int, Fraction))
             text = fraction_text(value) if numeric else f"<{type(value).__name__}>"
         show = str
@@ -68,6 +74,8 @@ def quote(value: object) -> str:
 def fraction_text(value: Fraction) -> str:
     """str(value), with each integer written through Decimal, whose
     conversion has no digit limit."""
+    from decimal import Decimal
+
     if value.denominator == 1:
         return str(Decimal(value.numerator))
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"

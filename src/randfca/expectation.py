@@ -43,14 +43,16 @@ sample space (guarded to n <= 5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .context import count_concepts
 from .errors import InputError, SizeError, fraction_text, integer, quote
 from .logspace import log_one_minus_pow, log_sum_exp
 from .model import ModelParams, context_log_probability, enumerate_sample_space
+from .record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_BRUTEFORCE_N = 5
 MAX_EXPECT_N = 2000
@@ -61,8 +63,7 @@ MAX_EXACT_BITS = 2**15
 MAX_TERM_N = 10**12
 
 
-@dataclass(frozen=True)
-class Composition4:
+class Composition4(Record):
     """An ordered 4-tuple of nonnegative integers (a, b, c, d)."""
 
     a: int
@@ -79,8 +80,7 @@ class Composition4:
         return self.a + self.b + self.c + self.d
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
+class ExpectationReport(Record):
     """Result of evaluating the average-concept-count sum."""
 
     params: ModelParams
@@ -211,6 +211,8 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
 def _probability(value: object, name: str) -> Fraction:
     """value as a Fraction in [0, 1]; anything Fraction() refuses (None, a
     text it cannot read, nan, inf) is out of range too."""
+    from fractions import Fraction
+
     try:
         x = Fraction(value)
     except (TypeError, ValueError, OverflowError):
@@ -259,6 +261,8 @@ def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
             s_ab *= s_a
             w_b *= w
     total = sum(part * t ** (top - k * (n - k)) for k, part in enumerate(by_k))
+    from fractions import Fraction
+
     return Fraction(total, v**n * t**top)
 
 

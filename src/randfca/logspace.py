@@ -24,9 +24,14 @@ def log1mexp(x: float) -> float:
 
     Uses expm1 for x close to 0 and log1p otherwise (the usual switch at
     -ln 2). Returns -inf at x == 0, and -0.0 for an int x below the float
-    range, where exp(x) is 0. NaN is refused, as is any x > 0.
+    range, where exp(x) is 0. NaN is refused, as is any x > 0 or any x
+    that does not compare with 0.
     """
-    if not x <= 0.0:
+    try:
+        in_domain = x <= 0.0
+    except TypeError:  # x is not a number
+        in_domain = False
+    if not in_domain:
         raise InputError(f"log1mexp requires x <= 0, got {quote(x)}")
     if x == 0.0:
         return float("-inf")
@@ -47,7 +52,11 @@ def log_one_minus_pow(base: float, exponent: int) -> float:
     float range, where base**exponent is 0.
     """
     exponent = integer(exponent, "exponent", low=0)
-    if not 0.0 <= base <= 1.0:
+    try:
+        in_domain = 0.0 <= base <= 1.0
+    except TypeError:  # base is not a number
+        in_domain = False
+    if not in_domain:
         raise InputError(f"base must be in [0, 1], got {quote(base)}")
     if exponent == 0 or base == 1.0:
         return float("-inf")
@@ -65,16 +74,24 @@ def log_sum_exp(values: Iterable[float]) -> float:
 
     Keeps the largest value so far and the sum of exp(v - largest),
     rescaling the sum when a new largest value arrives. A -inf value (an
-    exact zero) adds nothing; a sum of nothing is -inf.
+    exact zero) adds nothing; a sum of nothing is -inf. A value that is not
+    a number or lies past the float range is refused, and so is a nan,
+    which leaves the sum nan (as does +inf twice).
     """
     top = -math.inf
     total = 0.0
-    for x in values:
-        if x == -math.inf:
-            continue
-        if x <= top:
-            total += math.exp(x - top)
-        else:
-            total = total * math.exp(top - x) + 1.0
-            top = x
+    x = values  # what the message quotes if `values` is not iterable
+    try:
+        for x in values:
+            if x == -math.inf:
+                continue
+            if x <= top:
+                total += math.exp(x - top)
+            else:
+                total = total * math.exp(top - x) + 1.0
+                top = x
+    except (TypeError, OverflowError):  # OverflowError: an int past the float range
+        raise InputError(f"log_sum_exp requires floats, got {quote(x)}") from None
+    if total != total:
+        raise InputError(f"log_sum_exp requires values other than nan, got a sum of {quote(total)}")
     return top + math.log(total) if total else -math.inf

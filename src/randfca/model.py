@@ -35,11 +35,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .context import FormalContext
 from .errors import InputError, integer, quote
+from .record import Record
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -122,8 +122,7 @@ def _bernoulli_digits(seed: int, start: int, count: int, p: float) -> Iterator[b
         yield x.to_bytes(16 * size, "little")[8::16].translate(_NEGATED_DIGITS)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Model parameters: universe size n, object probability p, incidence probability q."""
 
     n: int

@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 from .context import count_concepts
 from .errors import SizeError, integer, quote
 from .expectation import expected_concepts
 from .model import ModelParams, _master_of, derive_seed, sample_context
+from .record import Record
 
 # Past this n, the concept count of one sample may explode.
 MAX_MC_N = 40
@@ -31,8 +31,7 @@ MAX_MC_WORK = 10**7
 Z95 = 1.96
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
     """Sample statistics of the concept count over independent contexts."""
 
     params: ModelParams
@@ -46,8 +45,7 @@ class McEstimate:
     max_count: int
 
 
-@dataclass(frozen=True)
-class ExactComparison:
+class ExactComparison(Record):
     """A Monte Carlo estimate next to the exactly evaluated average."""
 
     estimate: McEstimate

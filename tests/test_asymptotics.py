@@ -198,3 +198,9 @@ class TestRounding:
         # 0.2665 is stored slightly above the boundary, 0.1235 slightly below
         assert round_half_up(0.2665, 3) == 0.267
         assert round_half_up(0.1235, 3) == 0.123
+
+    def test_places_reach_every_digit_of_a_float(self):
+        # 5e-324 has 1074 digits after the point; the largest float, 309 before it.
+        assert round_half_up(5e-324, 1074) == 5e-324
+        assert round_half_up(1.7976931348623157e308, -1074) == 0.0
+        assert round_half_up(-2.5, -1074) == 0.0

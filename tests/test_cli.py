@@ -263,10 +263,46 @@ def test_import_leaves_the_process_pool_unloaded():
     assert result.returncode == 0, result.stderr
     at_import, with_pool, foreign = (line.split() for line in result.stdout.split("\n")[:3])
     assert "randfca.cli" in at_import
-    unwanted = ("concurrent", "multiprocessing", "statistics")
+    unwanted = (
+        "concurrent", "multiprocessing", "statistics", "dataclasses", "inspect", "fractions",
+        "decimal",
+    )
     assert [name for name in at_import if name.split(".")[0] in unwanted] == []
     assert "concurrent.futures.process" in with_pool
     assert foreign == []
+
+
+def test_exact_arithmetic_is_loaded_by_the_commands_that_use_it():
+    # `asymptotic` rounds its gaps through decimal, and `expect --rational`
+    # sums over fractions; neither module is loaded before its command runs.
+    code = textwrap.dedent(
+        """\
+        import contextlib, io, json, sys
+        sys.path.insert(0, sys.argv[1])
+        from randfca.cli import main
+
+        def loaded():
+            return [name for name in ("decimal", "fractions") if name in sys.modules]
+
+        print(loaded())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["asymptotic", "--json", "--ns", "10,100,1000"])
+        print([row["gap_3dp"] for row in json.loads(out.getvalue())["payload"]["rows"]])
+        print(loaded())
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["expect", "--rational", "--n", "4", "--p", "1/2", "--q", "1/2"])
+        print(loaded())
+        """
+    )
+    src = str(Path(randfca.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:4] == [
+        "[]", "[1.467, 0.86, 0.646]", "['decimal']", "['decimal', 'fractions']"
+    ]
 
 
 class TestAsymptotic:

@@ -28,6 +28,7 @@ from randfca import (
     log1mexp,
     log_one_minus_pow,
     log_split_term,
+    log_sum_exp,
     log_term,
     round_half_up,
     sample_context,
@@ -109,6 +110,17 @@ def _labelled_from_two(n):
         (lambda: expected_concepts_exact(2, math.nan, Fraction(1, 2)), InputError),
         (lambda: expected_concepts_exact(2, math.inf, Fraction(1, 2)), InputError),
         (lambda: log1mexp(math.nan), InputError),
+        (lambda: log1mexp(None), InputError),
+        (lambda: log1mexp("a"), InputError),
+        (lambda: log_one_minus_pow(None, 2), InputError),
+        (lambda: log_sum_exp(["a"]), InputError),
+        (lambda: log_sum_exp([math.nan]), InputError),
+        (lambda: round_half_up(None), InputError),
+        (lambda: round_half_up(0.5, 2.5), InputError),
+        (lambda: round_half_up(0.5, 10**7), SizeError),
+        (lambda: round_half_up(0.5, -(10**6)), InputError),
+        (lambda: round_half_up(HUGE), InputError),
+        (lambda: log_sum_exp([HUGE]), InputError),
     ],
     ids=[
         "long-algorithm", "unhashable-algorithm", "unhashable-count-algorithm",
@@ -134,7 +146,10 @@ def _labelled_from_two(n):
         "contranomial-huge-size", "empty-huge-objects", "full-huge-attributes",
         "correction-huge-n", "summand-huge-n",
         "exact-none-p", "exact-text-p", "exact-nan-p", "exact-inf-p",
-        "log1mexp-nan",
+        "log1mexp-nan", "log1mexp-none", "log1mexp-text", "pow-none-base",
+        "log-sum-exp-text", "log-sum-exp-nan", "round-none",
+        "round-float-places", "round-huge-places", "round-negative-huge-places",
+        "round-huge-int", "log-sum-exp-huge-int",
     ],
 )
 def test_messages_quoting_a_callers_value_stay_short(call, error):
