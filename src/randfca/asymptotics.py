@@ -72,7 +72,11 @@ def bounded_correction(n: int) -> float:
     1 <= n <= MAX_SPLIT_N, as log_split_term does.
     """
     n = integer(n, "n", low=1, high=MAX_SPLIT_N, bounded_by="the split term")
-    split = split_indices(n)
+    return _correction(split_indices(n))
+
+
+def _correction(split: Composition4) -> float:
+    """bounded_correction at the split `split`."""
     if not split.c:
         return 0.0
     return split.d * math.log1p(-(0.5**split.a)) + split.c * math.log1p(-(0.5**split.b))
@@ -102,7 +106,7 @@ def log_split_term(n: int) -> float:
     )
     total -= n * _LN2
     total -= split.a * split.b * _LN2
-    total += bounded_correction(n)
+    total += _correction(split)
     return total
 
 

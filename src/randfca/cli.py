@@ -15,13 +15,13 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import Concept, FormalContext, count_concepts, enumerate_concepts
 from .context import _default_labels, _members
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
-from .errors import InputError, InternalError, RandFcaError, fraction_text, quote
+from .errors import InputError, InternalError, RandFcaError, fraction_text, integer, quote
 from .expectation import (
     MAX_BRUTEFORCE_N,
     MAX_EXACT_BITS,
@@ -66,6 +66,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> Any:  # noqa: D102  (argparse hook)
         self.print_usage(sys.stderr)
         raise _UsageError(message)
+
+
+def _typed(kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """`kind` as an argparse type: argparse's own message for a value that
+    `kind` refuses, with the value quoted as errors.quote does."""
+
+    def parse(text: str) -> Any:
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quote(text)}") from None
+
+    return parse
 
 
 def _fmt(x: float) -> str:
@@ -310,8 +323,7 @@ def _cmd_asymptotic(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace, started: float) -> None:
-    if not 1 <= args.max_n <= MAX_BRUTEFORCE_N:
-        raise InputError(f"--max-n must be in 1..{MAX_BRUTEFORCE_N}, got {args.max_n}")
+    integer(args.max_n, "--max-n", low=1, high=MAX_BRUTEFORCE_N, bounded_by="verify")
     grid = DEFAULT_VERIFY_GRID
     cases = []  # (normalized error, case)
     for n in range(1, args.max_n + 1):
@@ -354,12 +366,13 @@ def _build_parser() -> _Parser:
         description="Formal concept enumeration and average-case analysis of random contexts.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    int_arg, float_arg = _typed(int), _typed(float)
 
     gen = sub.add_parser("gen", help="sample a random context and write it out")
-    gen.add_argument("--n", type=int, required=True, help=f"universe size, at most {MAX_DRAW_N}")
-    gen.add_argument("--p", type=float, required=True, help="object probability")
-    gen.add_argument("--q", type=float, required=True, help="incidence probability")
-    gen.add_argument("--seed", type=int, required=True, help="64-bit master seed")
+    gen.add_argument("--n", type=int_arg, required=True, help=f"universe size, at most {MAX_DRAW_N}")
+    gen.add_argument("--p", type=float_arg, required=True, help="object probability")
+    gen.add_argument("--q", type=float_arg, required=True, help="incidence probability")
+    gen.add_argument("--seed", type=int_arg, required=True, help="64-bit master seed")
     gen.add_argument("--out", default=None, help="output file (default stdout)")
     gen.add_argument("--format", choices=("cxt", "json"), default="cxt")
     gen.set_defaults(func=_cmd_gen)
@@ -373,7 +386,7 @@ def _build_parser() -> _Parser:
 
     expect = sub.add_parser("expect", help="exact average concept count")
     n_help = f"universe size, at most {MAX_EXPECT_N} ({MAX_EXACT_N} with --rational)"
-    expect.add_argument("--n", type=int, required=True, help=n_help)
+    expect.add_argument("--n", type=int_arg, required=True, help=n_help)
     expect.add_argument("--p", required=True, help="probability (float, or fraction with --rational)")
     expect.add_argument("--q", required=True, help="probability (float, or fraction with --rational)")
     expect.add_argument("--rational", action="store_true", help="also evaluate exactly over rationals")
@@ -381,13 +394,13 @@ def _build_parser() -> _Parser:
     expect.set_defaults(func=_cmd_expect)
 
     mc = sub.add_parser("mc", help="Monte Carlo estimate of the average concept count")
-    mc.add_argument("--n", type=int, required=True, help=f"universe size, at most {MAX_MC_N}")
-    mc.add_argument("--p", type=float, required=True)
-    mc.add_argument("--q", type=float, required=True)
+    mc.add_argument("--n", type=int_arg, required=True, help=f"universe size, at most {MAX_MC_N}")
+    mc.add_argument("--p", type=float_arg, required=True)
+    mc.add_argument("--q", type=float_arg, required=True)
     samples_help = f"2 to {MAX_MC_SAMPLES}, with samples * n^2 at most {MAX_MC_WORK}"
-    mc.add_argument("--samples", type=int, required=True, help=samples_help)
-    mc.add_argument("--seed", type=int, required=True)
-    mc.add_argument("--workers", type=int, default=1)
+    mc.add_argument("--samples", type=int_arg, required=True, help=samples_help)
+    mc.add_argument("--seed", type=int_arg, required=True)
+    mc.add_argument("--workers", type=int_arg, default=1)
     mc.add_argument("--compare-exact", action="store_true")
     mc.add_argument("--json", action="store_true")
     mc.set_defaults(func=_cmd_mc)
@@ -403,7 +416,7 @@ def _build_parser() -> _Parser:
     asymptotic.set_defaults(func=_cmd_asymptotic)
 
     verify = sub.add_parser("verify", help="cross-check the exact formula against brute force")
-    verify.add_argument("--max-n", type=int, default=DEFAULT_VERIFY_MAX_N)
+    verify.add_argument("--max-n", type=int_arg, default=DEFAULT_VERIFY_MAX_N)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify, grid="default")
 

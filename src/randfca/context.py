@@ -44,7 +44,7 @@ import operator
 from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import InputError, SizeError, integer, quote
+from .errors import InputError, integer, quote
 from .record import Record
 
 MAX_SCAN_OBJECTS = 20
@@ -167,8 +167,9 @@ class Concept(Record):
     _intent: int
 
     def __init__(self, extent: Iterable[int], intent: Iterable[int]) -> None:
-        object.__setattr__(self, "_extent", _indices_to_mask(extent, MAX_CONCEPT_INDEX, "extent"))
-        object.__setattr__(self, "_intent", _indices_to_mask(intent, MAX_CONCEPT_INDEX, "intent"))
+        set_ = object.__setattr__
+        set_(self, "_extent", _indices_to_mask(extent, MAX_CONCEPT_INDEX, "extent", "a concept"))
+        set_(self, "_intent", _indices_to_mask(intent, MAX_CONCEPT_INDEX, "intent", "a concept"))
 
     @classmethod
     def _from_masks(cls, pairs: Iterable[tuple[int, int]]) -> list["Concept"]:
@@ -194,17 +195,12 @@ class Concept(Record):
         return f"Concept(extent={self.extent!r}, intent={self.intent!r})"
 
 
-def _indices_to_mask(indices: Iterable[int], size: int, kind: str) -> int:
-    """The bit mask of the indices, each an int in [0, size)."""
+def _indices_to_mask(indices: Iterable[int], size: int, kind: str, bounded_by: str) -> int:
+    """The bit mask of the indices, each an int in [0, size) passed through
+    errors.integer, which names `bounded_by` for one past the top."""
     mask = 0
     for i in indices:
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise InputError(f"{kind} index {quote(i)} is not an integer") from None
-        if not 0 <= i < size:
-            raise InputError(f"{kind} index {quote(i)} out of range [0, {size})")
-        mask |= 1 << i
+        mask |= 1 << integer(i, f"{kind} index", 0, size - 1, bounded_by)
     return mask
 
 
@@ -224,13 +220,13 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 def derive_objects(ctx: FormalContext, objects: Iterable[int]) -> frozenset[int]:
     """Attributes common to every object in the set (all of them if empty)."""
-    mask = _indices_to_mask(objects, len(ctx.objects), "object")
+    mask = _indices_to_mask(objects, len(ctx.objects), "object", "the context")
     return _mask_to_set(ctx._intent_of(mask))
 
 
 def derive_attributes(ctx: FormalContext, attributes: Iterable[int]) -> frozenset[int]:
     """Objects having every attribute in the set (all of them if empty)."""
-    mask = _indices_to_mask(attributes, len(ctx.attributes), "attribute")
+    mask = _indices_to_mask(attributes, len(ctx.attributes), "attribute", "the context")
     return _mask_to_set(ctx._extent_of(mask))
 
 
@@ -238,8 +234,8 @@ def is_concept(
     ctx: FormalContext, objects: Iterable[int], attributes: Iterable[int]
 ) -> bool:
     """True iff deriving either side of the pair yields the other."""
-    extent = _indices_to_mask(objects, len(ctx.objects), "object")
-    intent = _indices_to_mask(attributes, len(ctx.attributes), "attribute")
+    extent = _indices_to_mask(objects, len(ctx.objects), "object", "the context")
+    intent = _indices_to_mask(attributes, len(ctx.attributes), "attribute", "the context")
     return ctx._intent_of(extent) == intent and ctx._extent_of(intent) == extent
 
 
@@ -297,12 +293,11 @@ def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
 
 
 def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
-    """Check every candidate extent for closedness. 2**|G| candidates."""
+    """Check every candidate extent for closedness. 2**|G| candidates, so
+    the object count is bounded by MAX_SCAN_OBJECTS through errors.integer,
+    checked when the first pair is asked for."""
     n_objects = len(ctx.objects)
-    if n_objects > MAX_SCAN_OBJECTS:
-        raise SizeError(
-            f"closure-scan supports at most {MAX_SCAN_OBJECTS} objects, got {n_objects}"
-        )
+    integer(n_objects, "object count", high=MAX_SCAN_OBJECTS, bounded_by="closure-scan")
     for extent in range(1 << n_objects):
         intent = ctx._intent_of(extent)
         if ctx._extent_of(intent) == extent:

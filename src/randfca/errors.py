@@ -1,6 +1,9 @@
 """Exception types shared across the package, how messages quote input and
 write exact fractions, and `integer`, the one gate through which every count
-argument (a size, a sample count, an index, an exponent) is taken."""
+argument (a size, a sample count, an index, an exponent) is taken. The gate
+writes every refusal of such a count, so each reads alike: "<what> must be an
+integer", "<what> must be >= <low>" or "<bounded_by> supports <what> <= <high>",
+each followed by ", got <the value>"."""
 
 from __future__ import annotations
 

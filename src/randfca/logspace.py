@@ -74,9 +74,10 @@ def log_sum_exp(values: Iterable[float]) -> float:
 
     Keeps the largest value so far and the sum of exp(v - largest),
     rescaling the sum when a new largest value arrives. A -inf value (an
-    exact zero) adds nothing; a sum of nothing is -inf. A value that is not
-    a number or lies past the float range is refused, and so is a nan,
-    which leaves the sum nan (as does +inf twice).
+    exact zero) adds nothing; a sum of nothing is -inf, and a sum with +inf
+    is +inf. A value that is not a number or lies past the float range is
+    refused, and so is a nan, which never compares below the largest value
+    so far and is caught where a new largest value is taken.
     """
     top = -math.inf
     total = 0.0
@@ -87,11 +88,13 @@ def log_sum_exp(values: Iterable[float]) -> float:
                 continue
             if x <= top:
                 total += math.exp(x - top)
+            elif x != x:  # a nan, which compares below or above nothing
+                raise InputError(f"log_sum_exp requires values other than nan, got {quote(x)}")
             else:
                 total = total * math.exp(top - x) + 1.0
                 top = x
     except (TypeError, OverflowError):  # OverflowError: an int past the float range
         raise InputError(f"log_sum_exp requires floats, got {quote(x)}") from None
-    if total != total:
-        raise InputError(f"log_sum_exp requires values other than nan, got a sum of {quote(total)}")
+    if total != total:  # exp(inf - inf): +inf more than once
+        return math.inf
     return top + math.log(total) if total else -math.inf

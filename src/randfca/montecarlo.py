@@ -14,7 +14,7 @@ import math
 import os
 
 from .context import count_concepts
-from .errors import SizeError, integer, quote
+from .errors import integer
 from .expectation import expected_concepts
 from .model import ModelParams, _master_of, derive_seed, sample_context
 from .record import Record
@@ -66,15 +66,16 @@ def estimate(
 
     Bit-identical for fixed (params, samples, seed) regardless of
     `workers`. n is bounded by MAX_MC_N, then samples by one limit,
-    min(MAX_MC_SAMPLES, MAX_MC_WORK // n**2), all checked before any work.
+    min(MAX_MC_SAMPLES, MAX_MC_WORK // n**2), all checked by errors.integer
+    before any work; past the sample limit its refusal names n when the work
+    bound is the smaller one ("Monte Carlo at n = 20 supports samples <= 25000").
     """
     samples = integer(samples, "samples", low=2)
     workers = integer(workers, "workers", low=1)
     n = integer(params.n, "n", high=MAX_MC_N, bounded_by="Monte Carlo")
     most = min(MAX_MC_SAMPLES, MAX_MC_WORK // n**2)
-    if samples > most:
-        at = f" at n = {n}" if most < MAX_MC_SAMPLES else ""
-        raise SizeError(f"Monte Carlo{at} supports at most {most} samples, got {quote(samples)}")
+    at = f" at n = {n}" if most < MAX_MC_SAMPLES else ""
+    integer(samples, "samples", high=most, bounded_by=f"Monte Carlo{at}")
     master = _master_of(seed)
     count = functools.partial(_count_sample, params, master)
     if workers == 1:

@@ -129,6 +129,11 @@ class TestExpect:
         code, out, err = run(capsys, "expect", "--rational", "--n", "2", "--p", "1" * 5000, "--q", "1/2")
         assert (code, out) == (1, "")
         assert err == f"error: cannot parse probability {'1' * 40!r}... (5000 characters)\n"
+        # A float option, converted by argparse, quotes its value the same way.
+        p = "x" * 301
+        code, out, err = run(capsys, "mc", "--n", "2", "--p", p, "--q", ".5", "--samples", "2", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --p: invalid float value: {'x' * 40!r}... (301 characters)\n")
 
     @pytest.mark.parametrize("p", ["1e-9999999", "0e99999999", "1E+32769"])
     def test_probability_exponent_is_bounded_before_parsing(self, capsys, p):
@@ -455,7 +460,7 @@ class TestGenAndConcepts:
         code, out, err = run(capsys, "concepts", "--in", str(path), "--algo", "scan", "--count-only")
         assert code == 1
         assert out == ""
-        assert "closure-scan supports at most 20 objects" in err
+        assert "closure-scan supports object count <= 20, got 21" in err
         code, out, _ = run(capsys, "concepts", "--in", str(path), "--count-only")
         assert (code, out) == (0, "2\n")
 
@@ -668,7 +673,7 @@ class TestMc:
         )
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (1, "")
-        assert err == f"error: Monte Carlo supports at most 100000 samples, got {samples}\n"
+        assert err == f"error: Monte Carlo supports samples <= 100000, got {samples}\n"
 
     def test_samples_times_n_squared_past_the_bound_exits_one_at_once(self, capsys):
         started = time.perf_counter()
@@ -677,7 +682,7 @@ class TestMc:
         )
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (1, "")
-        assert err == "error: Monte Carlo at n = 40 supports at most 6250 samples, got 6251\n"
+        assert err == "error: Monte Carlo at n = 40 supports samples <= 6250, got 6251\n"
 
     def test_workers_flag_matches_serial(self, capsys):
         base = ["mc", "--n", "5", "--p", "0.5", "--q", "0.5", "--samples", "300",
@@ -712,7 +717,8 @@ class TestVerify:
         monkeypatch.setattr("randfca.cli.expected_concepts_bruteforce", boom)
         code, out, err = run(capsys, "verify", "--max-n", max_n)
         assert (code, out) == (1, "")
-        assert err == f"error: --max-n must be in 1..5, got {max_n}\n"
+        expected = "verify supports --max-n <= 5" if max_n == "6" else "--max-n must be >= 1"
+        assert err == f"error: {expected}, got {max_n}\n"
 
     # One bound, 1e-12, on the error over max(oracle, 1). At n = 1 every
     # oracle is exactly 1 and is lowered, so the error is absolute; at n = 2

@@ -172,7 +172,7 @@ def test_values_past_the_float_range_give_their_limit():
 def test_short_values_keep_their_repr():
     with pytest.raises(InputError, match=r"^unknown algorithm 'bogus'; expected one of"):
         enumerate_concepts(CTX, "bogus")
-    with pytest.raises(InputError, match=r"^extent index -1 out of range \[0, 16777216\)$"):
+    with pytest.raises(InputError, match=r"^extent index must be >= 0, got -1$"):
         Concept([-1], [])
     with pytest.raises(InputError, match=r"^composition part b must be >= 0, got -1$"):
         Composition4(1, -1, 0, 0)

@@ -55,6 +55,13 @@ def test_log_sum_exp_of_nothing_is_zero_state():
     assert log_sum_exp([float("-inf")]) == -math.inf
 
 
+def test_log_sum_exp_of_inf_twice_is_inf_and_refuses_nan_next_to_inf():
+    assert log_sum_exp([math.inf, math.inf]) == math.inf
+    for values in ([math.inf, math.nan], [math.nan, math.inf]):
+        with pytest.raises(InputError, match=r"^log_sum_exp requires values other than nan, got nan$"):
+            log_sum_exp(values)
+
+
 def test_log_sum_exp_ignores_exact_zero_terms():
     with_zero = log_sum_exp([0.5, float("-inf"), -1.0])
     without = log_sum_exp([0.5, -1.0])

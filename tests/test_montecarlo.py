@@ -107,7 +107,7 @@ def test_sample_count_is_bounded_before_any_sample(monkeypatch):
 
     monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
     for samples in (10**5 + 1, 10**12):
-        with pytest.raises(SizeError, match=f"at most 100000 samples, got {samples}"):
+        with pytest.raises(SizeError, match=f"supports samples <= 100000, got {samples}"):
             estimate(ModelParams(1, 0.5, 0.5), samples, 1)
 
 
@@ -120,7 +120,7 @@ def test_samples_times_n_squared_is_bounded_before_any_sample(monkeypatch, n, sa
 
     monkeypatch.setattr("randfca.montecarlo.sample_context", boom)
     started = time.perf_counter()
-    message = f"Monte Carlo at n = {n} supports at most {most} samples, got {samples}"
+    message = f"Monte Carlo at n = {n} supports samples <= {most}, got {samples}"
     with pytest.raises(SizeError, match=message):
         estimate(ModelParams(n, 0.5, 0.85), samples, 1)
     assert time.perf_counter() - started < 1.0
@@ -137,7 +137,7 @@ def test_one_sample_limit_at_every_n(monkeypatch):
         most = min(10**5, 10**7 // n**2)
         with pytest.raises(AssertionError, match="a sample was drawn"):
             estimate(ModelParams(n, 0.5, 0.5), most, 1)
-        with pytest.raises(SizeError, match=f"supports at most {most} samples, got {most + 1}$"):
+        with pytest.raises(SizeError, match=f"supports samples <= {most}, got {most + 1}$"):
             estimate(ModelParams(n, 0.5, 0.5), most + 1, 1)
 
 
