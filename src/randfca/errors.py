@@ -2,8 +2,9 @@
 write exact fractions, and `integer`, the one gate through which every count
 argument (a size, a sample count, an index, an exponent) is taken. The gate
 writes every refusal of such a count, so each reads alike: "<what> must be an
-integer", "<what> must be >= <low>" or "<bounded_by> supports <what> <= <high>",
-each followed by ", got <the value>"."""
+integer", "<what> must be >= <low>", "<bounded_by> supports <what> <= <high>"
+or, for an empty range, "<bounded_by> takes no <what>", each followed by
+", got <the value>"."""
 
 from __future__ import annotations
 
@@ -90,7 +91,8 @@ def integer(
     """`value` as an int, through operator.index, in [low, high] where given.
 
     A non-integer and a value below `low` are an InputError, a value above
-    `high` a SizeError naming `bounded_by`; each message quotes the value.
+    `high` a SizeError naming `bounded_by` (which "takes no <what>" when
+    `high` < `low`, an empty range); each message quotes the value.
     """
     try:
         n = operator.index(value)
@@ -99,5 +101,6 @@ def integer(
     if low is not None and n < low:
         raise InputError(f"{what} must be >= {low}, got {quote(value)}")
     if high is not None and n > high:
-        raise SizeError(f"{bounded_by} supports {what} <= {high}, got {quote(value)}")
+        bound = f"takes no {what}" if low is not None and high < low else f"supports {what} <= {high}"
+        raise SizeError(f"{bounded_by} {bound}, got {quote(value)}")
     return n

@@ -5,8 +5,9 @@ orders of magnitude, so they are carried as natural logarithms. An exact
 zero is carried as log 0 = -inf, its only representation, so a product
 with a zero factor is a sum that reaches -inf with no special case.
 Sums of such values go through :func:`log_sum_exp`, the package's one
-log-sum-exp over a sequence; `expectation._log_add_exp` is a second,
-two-term one, for the bracket of each collapsed term.
+log-sum-exp over a sequence; only the row kernel in `expectation` adds two
+logs inline, the two parts of each collapsed term's bracket, since it runs
+once per term.
 """
 
 from __future__ import annotations

@@ -755,7 +755,7 @@ _TEXT_REPORTS = {
     "expect": (
         ["expect", "--n", "80", "--p", "0.5", "--q", "1"],
         "expected concepts: 1\n"
-        "log: -8.88178e-15\n"
+        "log: 0\n"
         "terms: 3321 total = 81 evaluated + 3240 zero\n",
     ),
     "expect-rational": (

@@ -17,6 +17,8 @@ from randfca import (
     context_log_probability,
     contranomial,
     count_concepts,
+    derive_attributes,
+    derive_objects,
     empty_relation,
     enumerate_concepts,
     enumerate_sample_space,
@@ -184,6 +186,18 @@ def test_short_values_keep_their_repr():
         ModelParams(2.5, 0.5, 0.5)
     with pytest.raises(SizeError, match=r"^the split term supports n <= 1000000000000, got 10"):
         log_split_term(10**12 + 1)
+
+
+def test_an_empty_range_is_named_as_such():
+    # A side with no elements takes no index at all, where "<= -1" would say nothing.
+    with pytest.raises(SizeError, match=r"^the context takes no object index, got 0$"):
+        derive_objects(FormalContext([], ["m"], ""), [0])
+    with pytest.raises(SizeError, match=r"^the context takes no attribute index, got 0$"):
+        derive_attributes(FormalContext(["g"], [], ""), [0])
+    with pytest.raises(InputError, match=r"^object index must be >= 0, got -1$"):
+        derive_objects(FormalContext([], ["m"], ""), [-1])
+    with pytest.raises(SizeError, match=r"^the context supports object index <= 0, got 1$"):
+        derive_objects(FormalContext(["g"], [], ""), [1])
 
 
 class _Count:

@@ -17,6 +17,7 @@ from randfca import (
     expected_concepts,
     expected_concepts_bruteforce,
     expected_concepts_exact,
+    log_one_minus_pow,
     log_sum_exp,
     log_term,
 )
@@ -42,6 +43,34 @@ def fraction_loop(n, p, q):
                 * (p * miss[b] + (1 - p) * miss[a]) ** (n - a - b)
             )
     return total
+
+
+def full_sum(params):
+    """All C(n+2, 2) collapsed (a, b) terms, summed in logs in (a, b) order:
+    the oracle for `expected_concepts`, which adds only the terms near each
+    row's mode. Returns (ln E, nonzero terms, zero terms)."""
+    n, p, q = params.n, params.p, params.q
+    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+    log_miss = [log_one_minus_pow(q, k) for k in range(n + 1)]
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    log_not_p = math.log1p(-p) if p < 1.0 else -math.inf
+    log_q = math.log(q) if q > 0.0 else -math.inf
+    terms = []
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            r = n - a - b
+            term = log_fact[n] - log_fact[a] - log_fact[b] - log_fact[r]
+            if a:
+                term += a * log_p
+            if b:
+                term += b * log_not_p
+            if a and b:
+                term += a * b * log_q
+            if r:
+                term += r * log_sum_exp((log_p + log_miss[b], log_not_p + log_miss[a]))
+            terms.append(term)
+    zero = terms.count(-math.inf)
+    return log_sum_exp(terms), len(terms) - zero, zero
 
 
 # Rationals in [0, 1]: the corners, a half, and denominators up to 10**18.
@@ -200,6 +229,40 @@ class TestAgainstCompositionSum:
         assert float(expected_concepts_exact(n, p, q)) == pytest.approx(want, rel=1e-12)
 
 
+# Nine probabilities, both ends and two points next to them included: an
+# 81-point (p, q) grid.
+FULL_GRID = (0.0, 1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 2**-30, 1.0)
+# Probabilities at the float extremes, for the rows' shapes they give.
+EXTREMES = (1e-300, 1e-12, 0.5, 1 - 1e-12, 1 - 2**-53)
+
+
+class TestAgainstFullSum:
+    """The windowed sum and the closed-form edges against every collapsed term."""
+
+    @staticmethod
+    def check(n, p, q):
+        report = expected_concepts(ModelParams(n, p, q))
+        want, nonzero, zero = full_sum(ModelParams(n, p, q))
+        assert abs(report.log_value - want) <= 1e-12 * max(1.0, abs(want)), (n, p, q)
+        assert (report.terms_evaluated, report.terms_skipped_zero) == (nonzero, zero), (n, p, q)
+
+    @pytest.mark.parametrize("n", [*range(1, 30), 40, 80, 200])
+    def test_on_the_grid(self, n):
+        for p in FULL_GRID:
+            for q in FULL_GRID:
+                self.check(n, p, q)
+
+    @pytest.mark.parametrize("p,q", [(0.5, 0.5), (0.9, 0.1), (0.5, 0.999)])
+    def test_at_n_1000(self, p, q):
+        self.check(1000, p, q)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_at_extreme_interior_points(self, n):
+        for p in EXTREMES:
+            for q in EXTREMES:
+                self.check(n, p, q)
+
+
 # ln E(n, p, q) from the collapsed (a, b) sum in 60-digit arithmetic (mpmath,
 # term by term) over the exact binary values of p and q, checked against an
 # 80-digit run; 25 digits kept. The first twelve are the benchmark's float
@@ -238,10 +301,9 @@ def test_log_value_against_high_precision_reference(n, p, q):
 @pytest.mark.parametrize("n", [40, 200, 1000])
 def test_log_value_at_q_one_is_within_ulps_of_ln_n_factorial(n, p):
     """At q = 1 every context has the one concept (G, M), so E = 1 and
-    ln E = 0. The float sum's error there is absolute, a few ulp of ln n!:
-    at most 1.6 ulp over p from .01 to .99 at these n."""
-    got = expected_concepts(ModelParams(n, p, 1.0)).log_value
-    assert abs(got) <= 8 * math.ulp(max(math.lgamma(n + 1), 1.0))
+    ln E = 0, exactly: the closed form adds no rounding error, where the
+    full sum's error is a few ulp of ln n!."""
+    assert expected_concepts(ModelParams(n, p, 1.0)).log_value == 0.0
 
 
 @pytest.mark.parametrize(
