@@ -4,6 +4,11 @@ Subcommands: gen, concepts, expect, mc, asymptotic, verify. By default a
 human-readable summary goes to stdout; --json wraps the result in a
 versioned report envelope (validated by report_schema.json, shipped with
 the package). Exit codes: 0 success, 1 input error, 2 internal failure.
+
+`expect --rational` reads its probabilities with the exact sum's own
+reader, so the CLI and the library refuse the same texts with the same
+messages. `concepts` writes its text and its JSON listing with one
+renderer, and refuses a context past context.MAX_CONCEPTS concepts.
 """
 
 from __future__ import annotations
@@ -18,15 +23,15 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
-from .context import Concept, FormalContext, count_concepts, enumerate_concepts
+from .context import MAX_CONCEPTS, Concept, FormalContext, count_concepts, enumerate_concepts
 from .context import _default_labels, _members
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError, fraction_text, integer, quote
 from .expectation import (
     MAX_BRUTEFORCE_N,
-    MAX_EXACT_BITS,
     MAX_EXACT_N,
     MAX_EXPECT_N,
+    _probability,
     expected_concepts,
     expected_concepts_bruteforce,
     expected_concepts_exact,
@@ -43,12 +48,6 @@ DEFAULT_VERIFY_MAX_N = 4
 # --ns values are parsed only below 2**_MAX_NS_BITS, so that a form like
 # 10^1000000000 is refused before the power is built.
 _MAX_NS_BITS = 64
-
-# A --rational probability's decimal exponent is bounded by this. Fraction
-# parses a mantissa of at most 2 x 4300 digits (the interpreter's int
-# limit), so past the bound a probability is 0, above 1, or has a
-# denominator over MAX_EXACT_BITS bits, which the exact sum refuses anyway.
-_MAX_EXPONENT = MAX_EXACT_BITS
 
 # Per-case agreement bound on |formula - oracle| / max(|oracle|, 1).
 VERIFY_TOL = 1e-12
@@ -103,44 +102,46 @@ def _emit(args: argparse.Namespace, started: float, payload: dict, text: str) ->
     print(_envelope_json(args, payload, started) if args.json else text)
 
 
-def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept]) -> str:
-    """The elements of the payload's "concepts" array, without its brackets,
-    byte for byte as json.dumps(indent=2) writes them at that depth, from
-    labels encoded once instead of per use."""
-    objects = ["          " + json.dumps(label) for label in ctx.objects]
-    attributes = ["          " + json.dumps(label) for label in ctx.attributes]
+# Per listing format (--json or not): how a label is encoded; a nonempty
+# side's opening bracket, separator and closing bracket; an empty side; the
+# text before, between and after a concept's two sides; and the separator
+# between concepts. The JSON entry is json.dumps(indent=2)'s layout at the
+# depth of the payload's "concepts" array.
+_LISTING_FORMATS = {
+    False: (str, "{", ", ", "}", "{}", "  ", " / ", "", "\n"),
+    True: (
+        json.dumps, "[\n          ", ",\n          ", "\n        ]", "[]",
+        '      {\n        "extent": ', ',\n        "intent": ', "\n      }", ",\n",
+    ),
+}
 
-    def side(lines: list[str], mask: int) -> str:
-        if not mask:
-            return "[]"
-        return "[\n" + ",\n".join(_members(lines, mask)) + "\n        ]"
+
+def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept], as_json: bool) -> str:
+    """The concepts, one after another, in the text or the JSON listing
+    (the elements of the payload's "concepts" array, without its brackets),
+    from labels encoded once instead of per use."""
+    encode, open_, sep, close, empty, before, middle, after, between = _LISTING_FORMATS[as_json]
+    objects = [encode(label) for label in ctx.objects]
+    attributes = [encode(label) for label in ctx.attributes]
+
+    def side(labels: list[str], mask: int) -> str:
+        return f"{open_}{sep.join(_members(labels, mask))}{close}" if mask else empty
 
     # Never empty: every context has at least the concept closing the empty set.
-    return ",\n".join([
-        f'      {{\n        "extent": {side(objects, c._extent)},'
-        f'\n        "intent": {side(attributes, c._intent)}\n      }}'
+    return between.join([
+        f"{before}{side(objects, c._extent)}{middle}{side(attributes, c._intent)}{after}"
         for c in concepts
     ])
 
 
 def _parse_prob(option: str, text: str, rational: bool) -> float | Fraction:
     """A probability, as a float or, with --rational, as a Fraction in [0, 1]."""
+    if rational:
+        return _probability(text, option)
     try:
-        if not rational:
-            return float(text)
-        from fractions import Fraction
-
-        # Fraction builds 10**exponent: bound the exponent before that.
-        _, marker, exponent = text.lower().rpartition("e")
-        value = Fraction(text) if not marker or abs(int(exponent)) <= _MAX_EXPONENT else None
-    except (ValueError, ZeroDivisionError):
+        return float(text)
+    except ValueError:
         raise InputError(f"cannot parse probability {quote(text)}") from None
-    if value is None:
-        raise InputError(f"probability {quote(text)} has an exponent beyond ±{_MAX_EXPONENT}")
-    # Checked here, before float() meets a value out of its range.
-    if not 0 <= value <= 1:
-        raise InputError(f"{option} must be in [0, 1], got {quote(text)}")
-    return value
 
 
 def _parse_n(token: str) -> int:
@@ -186,10 +187,6 @@ def _write_output(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _label_set(labels: Sequence[str], mask: int) -> str:
-    return "{" + ", ".join(_members(labels, mask)) + "}"
-
-
 def _cmd_gen(args: argparse.Namespace, started: float) -> None:
     sides, digits = _draw(ModelParams(args.n, args.p, args.q), args.seed)
     g = sides.count("1")
@@ -220,13 +217,10 @@ def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
         payload = {"count": len(concepts), "concepts": _LISTING_PLACEHOLDER}
         text = _envelope_json(args, payload, started)
         head, _, tail = text.rpartition(json.dumps(_LISTING_PLACEHOLDER))
-        print(head, "[\n", _concept_listing(ctx, concepts), "\n    ]", tail, sep="")
-        return
-    print(f"concepts: {len(concepts)}")
-    for concept in concepts:
-        extent = _label_set(ctx.objects, concept._extent)
-        intent = _label_set(ctx.attributes, concept._intent)
-        print(f"  {extent} / {intent}")
+        head, tail = f"{head}[\n", f"\n    ]{tail}"
+    else:
+        head, tail = f"concepts: {len(concepts)}\n", ""
+    print(head, _concept_listing(ctx, concepts, args.json), tail, sep="")
 
 
 def _cmd_expect(args: argparse.Namespace, started: float) -> None:
@@ -238,9 +232,7 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
     exact = expected_concepts_exact(args.n, p, q) if args.rational else None
     report = expected_concepts(params)
     payload = {
-        "n": params.n,
-        "p": params.p,
-        "q": params.q,
+        **vars(params),  # n, p, q
         "value": report.value,
         "log_value": report.log_value,
         "is_zero": False,  # every context has the concept (G, G'), so E >= 1
@@ -266,9 +258,7 @@ def _cmd_mc(args: argparse.Namespace, started: float) -> None:
     outcome = run(params, args.samples, args.seed, workers=args.workers)
     result = outcome.estimate if args.compare_exact else outcome
     payload = {
-        "n": params.n,
-        "p": params.p,
-        "q": params.q,
+        **vars(params),  # n, p, q
         "samples": result.samples,
         "seed": result.seed,
         "workers": args.workers,
@@ -377,7 +367,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--format", choices=("cxt", "json"), default="cxt")
     gen.set_defaults(func=_cmd_gen)
 
-    concepts = sub.add_parser("concepts", help="enumerate concepts of a context file")
+    concepts_help = f"enumerate concepts of a context file, at most {MAX_CONCEPTS} of them"
+    concepts = sub.add_parser("concepts", help=concepts_help, description=concepts_help)
     concepts.add_argument("--in", default=None, help="input .cxt file (default stdin)")
     concepts.add_argument("--algo", choices=("intersection", "cbo", "scan"), default="intersection")
     concepts.add_argument("--count-only", action="store_true")

@@ -34,6 +34,10 @@ counting run through each:
 * ``closure-scan``: checks all 2**|G| candidate extents for closedness.
   Exponential by construction, guarded to |G| <= 20; the small oracle.
 
+Each traversal refuses a context, with a SizeError, as soon as it has
+found more than MAX_CONCEPTS = 2**18 concepts, so listing and counting
+share one work bound.
+
 All types are immutable after construction and safe to share across
 threads; enumeration itself is single-threaded.
 """
@@ -53,6 +57,11 @@ MAX_SCAN_OBJECTS = 20
 # under 2 MB and a larger index is refused before any mask is built; a
 # context that wide would need about a gigabyte for its labels alone.
 MAX_CONCEPT_INDEX = 2**24
+
+# Listing and counting refuse a context as soon as its traversal has found
+# more concepts than this, as a SizeError. A contranomial(18) listing, at
+# the bound, raises the peak RSS of `concepts --json` by about 240 MB.
+MAX_CONCEPTS = 2**18
 
 # contranomial, empty_relation and full_relation take at most this many
 # objects and attributes each, refused before any label is built;
@@ -198,9 +207,9 @@ class Concept(Record):
 def _indices_to_mask(indices: Iterable[int], size: int, kind: str, bounded_by: str) -> int:
     """The bit mask of the indices, each an int in [0, size) passed through
     errors.integer, which names `bounded_by` for one past the top."""
-    mask = 0
+    mask, what = 0, f"{kind} index"
     for i in indices:
-        mask |= 1 << integer(i, f"{kind} index", 0, size - 1, bounded_by)
+        mask |= 1 << integer(i, what, 0, size - 1, bounded_by)
     return mask
 
 
@@ -244,7 +253,9 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
     they were taken over the transpose.
 
     The context's rows give its intents. When there are fewer columns than
-    rows, the columns are closed instead, and give its extents.
+    rows, the columns are closed instead, and give its extents. The count is
+    checked against MAX_CONCEPTS once per word, so at most about twice the
+    cap is ever held.
     """
     words, full, transposed = ctx._rows, (1 << len(ctx.attributes)) - 1, False
     if len(ctx._cols) < len(ctx._rows):
@@ -253,7 +264,15 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
     for word in words:
         # The list is complete before the set grows.
         closed.update([c & word for c in closed])
+        if len(closed) > MAX_CONCEPTS:
+            _refuse_past_cap(len(closed))
     return closed, transposed
+
+
+def _refuse_past_cap(found: int) -> None:
+    """The SizeError for a traversal that has found more than MAX_CONCEPTS
+    concepts, quoting the number found so far."""
+    integer(found, "concepts", high=MAX_CONCEPTS, bounded_by="enumeration")
 
 
 def _intersection(ctx: FormalContext) -> Iterator[tuple[int, int]]:
@@ -278,9 +297,12 @@ def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     """
     n_objects = len(ctx.objects)
     extent = ctx._extent_of((1 << len(ctx.attributes)) - 1)
-    stack = [(extent, ctx._intent_of(extent), 0)]
+    stack, found = [(extent, ctx._intent_of(extent), 0)], 0
     while stack:
         extent, intent, start = stack.pop()
+        found += 1
+        if found > MAX_CONCEPTS:
+            _refuse_past_cap(found)
         yield extent, intent
         for g in range(start, n_objects):
             if extent >> g & 1:
@@ -298,9 +320,13 @@ def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     checked when the first pair is asked for."""
     n_objects = len(ctx.objects)
     integer(n_objects, "object count", high=MAX_SCAN_OBJECTS, bounded_by="closure-scan")
+    found = 0
     for extent in range(1 << n_objects):
         intent = ctx._intent_of(extent)
         if ctx._extent_of(intent) == extent:
+            found += 1
+            if found > MAX_CONCEPTS:
+                _refuse_past_cap(found)
             yield extent, intent
 
 
@@ -329,7 +355,8 @@ def enumerate_concepts(
 
     Output order is canonical: ascending by the extent bit pattern read as
     an integer (object 0 = least significant bit), so repeated runs and
-    all algorithms produce identical lists.
+    all algorithms produce identical lists. Past MAX_CONCEPTS concepts
+    the traversal raises SizeError.
     """
     return Concept._from_masks(sorted(_traversal(algorithm)(ctx)))
 

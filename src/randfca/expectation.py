@@ -217,9 +217,9 @@ def _windowed_log_sum(n: int, p: float, q: float) -> float:
     is computed with the same operations in the same order as a full sum of
     all terms would, so only the terms left out can change the result.
     """
-    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
-    log_miss = [log_one_minus_pow(q, k) for k in range(n + 1)]
     log_p, log_not_p, log_q = math.log(p), math.log1p(-p), math.log(q)
+    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+    log_miss = [-math.inf] + [log1mexp(k * log_q) for k in range(1, n + 1)]  # ln(1 - q**k)
     log_n_fact = log_fact[n]
     log1p, exp = math.log1p, math.exp
 
@@ -272,23 +272,37 @@ def _windowed_log_sum(n: int, p: float, q: float) -> float:
 
 
 def _probability(value: object, name: str) -> Fraction:
-    """value as a Fraction in [0, 1]; anything Fraction() refuses (None, a
-    text it cannot read, nan, inf) is out of range too."""
+    """value as a Fraction in [0, 1]: the one reader of a rational probability.
+
+    A text's decimal exponent is bounded by MAX_EXACT_BITS before Fraction()
+    builds 10**exponent. Fraction parses a mantissa of at most 2 x 4300
+    digits (the interpreter's int limit), so past the bound a probability is
+    0, above 1, or has a denominator over MAX_EXACT_BITS bits, which the
+    exact sum refuses anyway. A value Fraction() refuses (None, a text it
+    cannot read, nan, inf) cannot be parsed. A text is quoted as given,
+    another value by its fraction.
+    """
     from fractions import Fraction
 
+    text = isinstance(value, str)
     try:
-        x = Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name} must be in [0, 1], got {quote(value)}") from None
+        _, marker, exponent = value.lower().rpartition("e") if text else ("", "", "")
+        x = Fraction(value) if not marker or abs(int(exponent)) <= MAX_EXACT_BITS else None
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"cannot parse probability {quote(value)}") from None
+    if x is None:
+        raise InputError(f"probability {quote(value)} has an exponent beyond ±{MAX_EXACT_BITS}")
     if not 0 <= x <= 1:
-        raise InputError(f"{name} must be in [0, 1], got {quote(fraction_text(x))}")
+        raise InputError(f"{name} must be in [0, 1], got {quote(value if text else fraction_text(x))}")
     return x
 
 
 def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
     """Exact rational value of the average, for rational p and q.
 
-    Used to calibrate the float path. The numerators are summed as
+    p and q are anything Fraction() reads, such as "1/3" or "1e-5", a
+    text's decimal exponent at most MAX_EXACT_BITS in size. Used to
+    calibrate the float path. The numerators are summed as
     integers over one common denominator (see the module docstring), so
     only the result is reduced. Their size is bounded before any work:
     n <= MAX_EXACT_N, and the common denominator v**n * t**E, measured as

@@ -27,6 +27,7 @@ from randfca import (
     ExpectationReport,
     FormalContext,
     InternalError,
+    contranomial,
     enumerate_concepts,
     write_cxt,
 )
@@ -578,7 +579,7 @@ class TestConceptListing:
     def cxt_path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("listing") / "ctx.cxt"
 
-    @pytest.mark.parametrize("algo", ["cbo", "scan"])
+    @pytest.mark.parametrize("algo", ["intersection", "cbo", "scan"])
     @given(
         objects=st.lists(_LABEL, max_size=4, unique=True),
         attributes=st.lists(_LABEL, max_size=4, unique=True),
@@ -614,6 +615,16 @@ class TestConceptListing:
             code = main(["concepts", "--in", str(cxt_path), "--algo", algo])
         assert code == 0
         assert out.getvalue() == _reference_text(ctx, algo)
+
+    @pytest.mark.parametrize("extra", [(), ("--json",), ("--count-only",)])
+    def test_context_past_the_concept_cap_exits_one(self, capsys, tmp_path, monkeypatch, extra):
+        path = tmp_path / "ctx.cxt"
+        path.write_text(write_cxt(CxtDocument(contranomial(3))))
+        monkeypatch.setattr("randfca.context.MAX_CONCEPTS", 7)
+        code, out, err = run(capsys, "concepts", "--in", str(path), *extra)
+        assert (code, out, err) == (1, "", "error: enumeration supports concepts <= 7, got 8\n")
+        monkeypatch.setattr("randfca.context.MAX_CONCEPTS", 8)
+        assert run(capsys, "concepts", "--in", str(path), *extra)[0] == 0
 
     def test_enumerate_and_count_are_called_through_the_cli_names(self, capsys, tmp_path, monkeypatch):
         # perfbench/tracing.py times listing by wrapping the name

@@ -252,6 +252,30 @@ class TestEnumeration:
         with pytest.raises(SizeError):
             count_concepts(empty_relation(21, 1), algorithm="scan")
 
+    @pytest.mark.parametrize("algorithm", ["intersection", "cbo", "scan"])
+    @pytest.mark.parametrize(
+        "ctx",
+        [contranomial(4), build_context(5, 4, [0b0011, 0b0110, 0b1100, 0b1001, 0b0101])],
+        ids=["contranomial4", "5x4"],
+    )
+    def test_cap_accepts_at_it_and_refuses_one_past_it(self, monkeypatch, algorithm, ctx):
+        want = enumerate_concepts(ctx, algorithm)
+        monkeypatch.setattr("randfca.context.MAX_CONCEPTS", len(want))
+        assert enumerate_concepts(ctx, algorithm) == want
+        assert count_concepts(ctx, algorithm) == len(want)
+        monkeypatch.setattr("randfca.context.MAX_CONCEPTS", len(want) - 1)
+        message = rf"^enumeration supports concepts <= {len(want) - 1}, got {len(want)}$"
+        with pytest.raises(SizeError, match=message):
+            enumerate_concepts(ctx, algorithm)
+        with pytest.raises(SizeError, match=message):
+            count_concepts(ctx, algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["intersection", "cbo"])
+    def test_contranomial_30_is_refused_past_the_cap(self, algorithm):
+        ctx = contranomial(30)
+        with pytest.raises(SizeError, match=r"^enumeration supports concepts <= 262144, got "):
+            count_concepts(ctx, algorithm)
+
     @pytest.mark.parametrize("algorithm", ["intersection", "cbo"])
     def test_chain_deeper_than_the_recursion_limit(self, algorithm):
         # Object i has attributes i..k-1, so the concepts form one chain of

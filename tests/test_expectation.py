@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -382,6 +383,24 @@ class TestExactRational:
             expected_concepts_exact(0, half, half)
         with pytest.raises(InputError, match=r"^q must be in \[0, 1\], got '3/2'$"):
             expected_concepts_exact(2, half, Fraction(3, 2))
+
+    @pytest.mark.parametrize("p", ["1e-9999999", "0e99999999", "1E+32769"])
+    def test_probability_exponent_is_bounded_before_parsing(self, p):
+        started = time.perf_counter()
+        with pytest.raises(InputError) as raised:
+            expected_concepts_exact(2, p, "1/2")
+        assert time.perf_counter() - started < 1.0
+        assert str(raised.value) == f"probability {p!r} has an exponent beyond ±32768"
+
+    @pytest.mark.parametrize("p", ["abc", "1/0", None, math.nan])
+    def test_unreadable_probability_cannot_be_parsed(self, p):
+        with pytest.raises(InputError, match=r"^cannot parse probability "):
+            expected_concepts_exact(2, p, "1/2")
+
+    def test_text_probability_is_quoted_as_given(self):
+        assert expected_concepts_exact(1, "0e-32768", "1/2") == 1  # an exponent at the bound
+        with pytest.raises(InputError, match=r"^q must be in \[0, 1\], got '1.5'$"):
+            expected_concepts_exact(2, "1/2", "1.5")
 
     @pytest.mark.parametrize(
         "p",
