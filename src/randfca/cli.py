@@ -5,10 +5,11 @@ human-readable summary goes to stdout; --json wraps the result in a
 versioned report envelope (validated by report_schema.json, shipped with
 the package). Exit codes: 0 success, 1 input error, 2 internal failure.
 
-`expect --rational` reads its probabilities with the exact sum's own
-reader, so the CLI and the library refuse the same texts with the same
-messages. `concepts` writes its text and its JSON listing with one
-renderer, and refuses a context past context.MAX_CONCEPTS concepts.
+`expect` reads `--p` and `--q` with the library's two readers: ModelParams
+for a float and, under --rational, the exact sum's own reader first, so the
+CLI and the library refuse the same texts with the same messages.
+`concepts` writes its text and its JSON listing with one renderer, and
+refuses a context past context.MAX_CONCEPTS concepts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import MAX_CONCEPTS, Concept, FormalContext, count_concepts, enumerate_concepts
@@ -38,9 +39,6 @@ from .expectation import (
 )
 from .model import MAX_DRAW_N, ModelParams, _draw
 from .montecarlo import MAX_MC_N, MAX_MC_SAMPLES, MAX_MC_WORK, compare_with_exact, estimate
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 DEFAULT_VERIFY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VERIFY_MAX_N = 4
@@ -134,16 +132,6 @@ def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept], as_json: b
     ])
 
 
-def _parse_prob(option: str, text: str, rational: bool) -> float | Fraction:
-    """A probability, as a float or, with --rational, as a Fraction in [0, 1]."""
-    if rational:
-        return _probability(text, option)
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"cannot parse probability {quote(text)}") from None
-
-
 def _parse_n(token: str) -> int:
     """One --ns value: an integer, or a 10^8 or 1e8 form, below 2**64 in size."""
     try:
@@ -224,9 +212,10 @@ def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
 
 
 def _cmd_expect(args: argparse.Namespace, started: float) -> None:
-    p = _parse_prob("--p", args.p, args.rational)
-    q = _parse_prob("--q", args.q, args.rational)
-    params = ModelParams(args.n, float(p), float(q))
+    p, q = args.p, args.q
+    if args.rational:
+        p, q = _probability(p, "--p"), _probability(q, "--q")
+    params = ModelParams(args.n, p, q)
     # The exact sum refuses an input past its size bounds before any work,
     # so it runs first.
     exact = expected_concepts_exact(args.n, p, q) if args.rational else None

@@ -164,6 +164,10 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
     ``log_value``'s error is absolute, not relative: up to a few ulp of ln n!.
     Near E = 1 its relative error is large: at (80, 1e-6, 1 - 2**-30) ln E
     is 5.9e-12 and its relative error 1.4e-5, while ``value`` is accurate.
+    Every context has the concept (G, G'), so E >= 1, and a sum that rounds
+    below ln 1 = 0 (as the interior sum does at (3, p, p), p = 1 - 1e-12,
+    and the q = 0 form at n = 1) is returned as 0: the true ln E is >= 0,
+    so this only shrinks the error, and ``log_value`` >= 0, ``value`` >= 1.
 
     n <= MAX_EXPECT_N = 2000 is checked before any work. At n = 2000 the
     widest windows, at q near .999, walk about 150,000 of the 2,003,001
@@ -184,6 +188,8 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
         log_value = log_sum_exp((log1mexp(n * math.log(p)), log1mexp(n * math.log1p(-p))))
     else:
         nonzero, log_value = terms - 1, _windowed_log_sum(n, p, q)
+    # E >= 1, so a sum rounded below ln 1 is raised to it.
+    log_value = max(0.0, log_value)
     return ExpectationReport(
         params=params,
         log_value=log_value,

@@ -135,10 +135,12 @@ class ModelParams(Record):
             value = getattr(self, name)
             try:
                 x = float(value)
-            except (TypeError, ValueError, OverflowError):
-                x = math.nan  # out of range, like any value float() refuses
+            except (TypeError, ValueError):
+                raise InputError(f"cannot parse probability {quote(value)}") from None
+            except OverflowError:
+                x = value  # an int or fraction past the float range, quoted as given
             if not 0.0 <= x <= 1.0:
-                raise InputError(f"{name} must be in [0, 1], got {quote(value)}")
+                raise InputError(f"{name} must be in [0, 1], got {quote(x)}")
             object.__setattr__(self, name, x)
 
 

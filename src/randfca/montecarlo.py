@@ -46,7 +46,7 @@ class McEstimate(Record):
 
 
 class ExactComparison(Record):
-    """A Monte Carlo estimate next to the exactly evaluated average."""
+    """A Monte Carlo estimate next to the average expected_concepts computes."""
 
     estimate: McEstimate
     exact: float
@@ -109,7 +109,8 @@ def estimate(
 def compare_with_exact(
     params: ModelParams, samples: int, seed: int, workers: int = 1
 ) -> ExactComparison:
-    """Estimate and compare against the exact composition-sum value.
+    """Estimate and compare against the average that expected_concepts
+    computes (the windowed float sum, or its closed form at the edges).
 
     z is the standardized deviation (mean - exact) / stderr; a degenerate
     stderr of 0 yields z = 0 when the mean matches the exact value and

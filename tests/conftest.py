@@ -1,8 +1,14 @@
 import random
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from randfca import FormalContext
+
+# No per-example deadline: a host that stalls for a moment must not fail a
+# property test whose examples take a millisecond.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 
 def build_context(g: int, m: int, rows: list[int]) -> FormalContext:

@@ -156,6 +156,29 @@ class TestExpect:
         assert err.startswith("error: --p must be in [0, 1], got ")
         assert len(err) < 200
 
+    # Without --rational, ModelParams reads --p and --q; these are its
+    # refusals, byte for byte.
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--p", "abc", "cannot parse probability 'abc'"),
+            ("--p", "1.5", "p must be in [0, 1], got 1.5"),
+            ("--p", "nan", "p must be in [0, 1], got nan"),
+            ("--p", "inf", "p must be in [0, 1], got inf"),
+            ("--p", "-0.1", "p must be in [0, 1], got -0.1"),
+            ("--p", "1e999", "p must be in [0, 1], got inf"),
+            ("--q", "2", "q must be in [0, 1], got 2.0"),
+        ],
+    )
+    def test_float_probability_refusals(self, capsys, option, value, message):
+        # argparse keeps an option's last value.
+        code, out, err = run(capsys, "expect", "--n", "3", "--p", "0.5", "--q", "0.5", option, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_n_is_checked_before_the_probabilities(self, capsys):
+        code, out, err = run(capsys, "expect", "--n", "0", "--p", "abc", "--q", "0.5")
+        assert (code, out, err) == (1, "", "error: n must be >= 1, got 0\n")
+
     @pytest.mark.parametrize("n", ["2001", "1000000000"])
     def test_n_past_the_float_bound_exits_one_at_once(self, capsys, n):
         started = time.perf_counter()
@@ -175,7 +198,7 @@ class TestExpect:
 
     # 1 <= E <= 2**(n // 2), so every expect report holds finite numbers and
     # is never zero, from p or q of 0 and 1e-300 up to 1 - 2**-30 and 1, and
-    # at the largest n, where the computed E sits just below 1.
+    # at the largest n.
     @pytest.mark.parametrize(
         "n,p,q",
         [(n, p, q) for n in (1, 2, 40, 200) for p in FINITE_GRID for q in FINITE_GRID]

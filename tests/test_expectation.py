@@ -264,6 +264,21 @@ class TestAgainstFullSum:
                 self.check(n, p, q)
 
 
+# Zero, one, the float extremes and points between: at their (p, q) pairs
+# the sums round below ln 1 = 0 before they are raised to it.
+FLOOR_GRID = (0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 2**-30, 1 - 1e-12, 1.0)
+
+
+def test_average_is_never_below_one():
+    """Every context has the concept (G, G'), so E >= 1: log_value >= 0 and
+    value >= 1 over the grid, also where the interior sum (at (3, p, p),
+    p = 1 - 1e-12) or the q = 0 form (at n = 1) rounds below ln 1."""
+    points = [(n, p, q) for n in (1, 2, 3, 7, 40) for p in FLOOR_GRID for q in FLOOR_GRID]
+    for n, p, q in points + [(2000, 1e-12, 1 - 1e-12)]:
+        report = expected_concepts(ModelParams(n, p, q))
+        assert report.log_value >= 0.0 and report.value >= 1.0, (n, p, q)
+
+
 # ln E(n, p, q) from the collapsed (a, b) sum in 60-digit arithmetic (mpmath,
 # term by term) over the exact binary values of p and q, checked against an
 # 80-digit run; 25 digits kept. The first twelve are the benchmark's float

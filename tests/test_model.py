@@ -57,9 +57,28 @@ class TestParams:
     def test_short_values_are_shown_by_their_repr(self):
         with pytest.raises(InputError, match=r"^p must be in \[0, 1\], got 2\.0$"):
             ModelParams(2, 2.0, 0.5)
-        with pytest.raises(InputError, match=r"^q must be in \[0, 1\], got 'abc'$"):
+        with pytest.raises(InputError, match=r"^cannot parse probability 'abc'$"):
             ModelParams(2, 0.5, "abc")
         assert ModelParams(2, "0.25", "1") == ModelParams(2, 0.25, 1.0)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (None, "cannot parse probability None"),
+            ("abc", "cannot parse probability 'abc'"),
+            ([0.5], "cannot parse probability [0.5]"),
+            # Past the float range: quoted as given.
+            (10**400, f"p must be in [0, 1], got {'1' + '0' * 39}... (401 characters)"),
+            # Otherwise the number read is quoted.
+            ("1.5", "p must be in [0, 1], got 1.5"),
+            (Fraction(3, 2), "p must be in [0, 1], got 1.5"),
+        ],
+        ids=["none", "text", "list", "int-overflow", "text-above-one", "fraction-above-one"],
+    )
+    def test_each_refusal_is_worded_by_what_float_makes_of_it(self, value, message):
+        with pytest.raises(InputError) as raised:
+            ModelParams(2, value, 0.5)
+        assert str(raised.value) == message
 
     def test_seed_wraps_to_64_bits(self):
         for seed, master in ((-1, 2**64 - 1), (2**64 + 5, 5)):
