@@ -5,9 +5,10 @@ human-readable summary goes to stdout; --json wraps the result in a
 versioned report envelope (validated by report_schema.json, shipped with
 the package). Exit codes: 0 success, 1 input error, 2 internal failure.
 
-`expect` reads `--p` and `--q` with the library's two readers: ModelParams
-for a float and, under --rational, the exact sum's own reader first, so the
-CLI and the library refuse the same texts with the same messages.
+Every command reads `--p` and `--q` as texts and hands them to ModelParams,
+which checks n first and then reads each probability (`expect --rational`
+passes them through the exact sum's own reader first), so the commands and
+the library refuse the same texts with the same messages.
 `concepts` writes its text and its JSON listing with one renderer, and
 refuses a context past context.MAX_CONCEPTS concepts.
 """
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import MAX_CONCEPTS, Concept, FormalContext, count_concepts, enumerate_concepts
@@ -65,17 +66,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _typed(kind: Callable[[str], Any]) -> Callable[[str], Any]:
-    """`kind` as an argparse type: argparse's own message for a value that
-    `kind` refuses, with the value quoted as errors.quote does."""
-
-    def parse(text: str) -> Any:
-        try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quote(text)}") from None
-
-    return parse
+def _int_arg(text: str) -> int:
+    """An int option's value: argparse's own message for a text that int()
+    refuses, with the text quoted as errors.quote does."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}") from None
 
 
 def _fmt(x: float) -> str:
@@ -243,6 +240,8 @@ def _cmd_expect(args: argparse.Namespace, started: float) -> None:
 
 def _cmd_mc(args: argparse.Namespace, started: float) -> None:
     params = ModelParams(args.n, args.p, args.q)
+    # The report's params carry the values read.
+    args.p, args.q = params.p, params.q
     run = compare_with_exact if args.compare_exact else estimate
     outcome = run(params, args.samples, args.seed, workers=args.workers)
     result = outcome.estimate if args.compare_exact else outcome
@@ -345,13 +344,12 @@ def _build_parser() -> _Parser:
         description="Formal concept enumeration and average-case analysis of random contexts.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    int_arg, float_arg = _typed(int), _typed(float)
 
     gen = sub.add_parser("gen", help="sample a random context and write it out")
-    gen.add_argument("--n", type=int_arg, required=True, help=f"universe size, at most {MAX_DRAW_N}")
-    gen.add_argument("--p", type=float_arg, required=True, help="object probability")
-    gen.add_argument("--q", type=float_arg, required=True, help="incidence probability")
-    gen.add_argument("--seed", type=int_arg, required=True, help="64-bit master seed")
+    gen.add_argument("--n", type=_int_arg, required=True, help=f"universe size, at most {MAX_DRAW_N}")
+    gen.add_argument("--p", required=True, help="object probability")
+    gen.add_argument("--q", required=True, help="incidence probability")
+    gen.add_argument("--seed", type=_int_arg, required=True, help="64-bit master seed")
     gen.add_argument("--out", default=None, help="output file (default stdout)")
     gen.add_argument("--format", choices=("cxt", "json"), default="cxt")
     gen.set_defaults(func=_cmd_gen)
@@ -366,7 +364,7 @@ def _build_parser() -> _Parser:
 
     expect = sub.add_parser("expect", help="exact average concept count")
     n_help = f"universe size, at most {MAX_EXPECT_N} ({MAX_EXACT_N} with --rational)"
-    expect.add_argument("--n", type=int_arg, required=True, help=n_help)
+    expect.add_argument("--n", type=_int_arg, required=True, help=n_help)
     expect.add_argument("--p", required=True, help="probability (float, or fraction with --rational)")
     expect.add_argument("--q", required=True, help="probability (float, or fraction with --rational)")
     expect.add_argument("--rational", action="store_true", help="also evaluate exactly over rationals")
@@ -374,13 +372,13 @@ def _build_parser() -> _Parser:
     expect.set_defaults(func=_cmd_expect)
 
     mc = sub.add_parser("mc", help="Monte Carlo estimate of the average concept count")
-    mc.add_argument("--n", type=int_arg, required=True, help=f"universe size, at most {MAX_MC_N}")
-    mc.add_argument("--p", type=float_arg, required=True)
-    mc.add_argument("--q", type=float_arg, required=True)
+    mc.add_argument("--n", type=_int_arg, required=True, help=f"universe size, at most {MAX_MC_N}")
+    mc.add_argument("--p", required=True)
+    mc.add_argument("--q", required=True)
     samples_help = f"2 to {MAX_MC_SAMPLES}, with samples * n^2 at most {MAX_MC_WORK}"
-    mc.add_argument("--samples", type=int_arg, required=True, help=samples_help)
-    mc.add_argument("--seed", type=int_arg, required=True)
-    mc.add_argument("--workers", type=int_arg, default=1)
+    mc.add_argument("--samples", type=_int_arg, required=True, help=samples_help)
+    mc.add_argument("--seed", type=_int_arg, required=True)
+    mc.add_argument("--workers", type=_int_arg, default=1)
     mc.add_argument("--compare-exact", action="store_true")
     mc.add_argument("--json", action="store_true")
     mc.set_defaults(func=_cmd_mc)
@@ -396,7 +394,7 @@ def _build_parser() -> _Parser:
     asymptotic.set_defaults(func=_cmd_asymptotic)
 
     verify = sub.add_parser("verify", help="cross-check the exact formula against brute force")
-    verify.add_argument("--max-n", type=int_arg, default=DEFAULT_VERIFY_MAX_N)
+    verify.add_argument("--max-n", type=_int_arg, default=DEFAULT_VERIFY_MAX_N)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify, grid="default")
 

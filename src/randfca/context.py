@@ -34,9 +34,10 @@ counting run through each:
 * ``closure-scan``: checks all 2**|G| candidate extents for closedness.
   Exponential by construction, guarded to |G| <= 20; the small oracle.
 
-Each traversal refuses a context, with a SizeError, as soon as it has
-found more than MAX_CONCEPTS = 2**18 concepts, so listing and counting
-share one work bound.
+Listing and counting refuse a context, with a SizeError, once its traversal
+has found more than MAX_CONCEPTS = 2**18 concepts, so they share one work
+bound: intersection checks it once per word it closes, and the other two
+have their pair streams stopped where an algorithm's name is looked up.
 
 All types are immutable after construction and safe to share across
 threads; enumeration itself is single-threaded.
@@ -45,7 +46,7 @@ threads; enumeration itself is single-threaded.
 from __future__ import annotations
 
 import operator
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, integer, quote
@@ -294,15 +295,13 @@ def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     adding each object above its branching point and keep the closure only
     when it introduces no object below that point. Holds one stack entry
     per pending branch, so its memory grows only with the context's depth.
+    Counts nothing: _traversal stops the stream past MAX_CONCEPTS pairs.
     """
     n_objects = len(ctx.objects)
     extent = ctx._extent_of((1 << len(ctx.attributes)) - 1)
-    stack, found = [(extent, ctx._intent_of(extent), 0)], 0
+    stack = [(extent, ctx._intent_of(extent), 0)]
     while stack:
         extent, intent, start = stack.pop()
-        found += 1
-        if found > MAX_CONCEPTS:
-            _refuse_past_cap(found)
         yield extent, intent
         for g in range(start, n_objects):
             if extent >> g & 1:
@@ -317,16 +316,13 @@ def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
 def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     """Check every candidate extent for closedness. 2**|G| candidates, so
     the object count is bounded by MAX_SCAN_OBJECTS through errors.integer,
-    checked when the first pair is asked for."""
+    checked when the first pair is asked for. Counts nothing: _traversal
+    stops the stream past MAX_CONCEPTS pairs."""
     n_objects = len(ctx.objects)
     integer(n_objects, "object count", high=MAX_SCAN_OBJECTS, bounded_by="closure-scan")
-    found = 0
     for extent in range(1 << n_objects):
         intent = ctx._intent_of(extent)
         if ctx._extent_of(intent) == extent:
-            found += 1
-            if found > MAX_CONCEPTS:
-                _refuse_past_cap(found)
             yield extent, intent
 
 
@@ -340,12 +336,26 @@ _TRAVERSALS = {
 
 
 def _traversal(algorithm: str) -> Callable[[FormalContext], Iterator[tuple[int, int]]]:
+    """The named traversal, from a context to its (extent, intent) mask
+    pairs; the one lookup of an algorithm's name. Close-by-one's and
+    closure-scan's streams are stopped here, by a SizeError, at the first
+    pair past MAX_CONCEPTS; intersection checks the cap per word itself."""
     try:
-        return _TRAVERSALS[algorithm]
+        traversal = _TRAVERSALS[algorithm]
     except (KeyError, TypeError):  # TypeError: an unhashable algorithm
         raise InputError(
             f"unknown algorithm {quote(algorithm)}; expected one of {tuple(_TRAVERSALS)}"
         ) from None
+    if traversal is _intersection:
+        return traversal
+
+    def capped(ctx: FormalContext) -> Iterator[tuple[int, int]]:
+        pairs = traversal(ctx)
+        yield from islice(pairs, MAX_CONCEPTS)
+        if next(pairs, None) is not None:
+            _refuse_past_cap(MAX_CONCEPTS + 1)
+
+    return capped
 
 
 def enumerate_concepts(

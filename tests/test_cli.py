@@ -58,6 +58,14 @@ cached_fraction_loop = functools.cache(fraction_loop)
 
 FINITE_GRID = ["0", "1e-300", "0.5", repr(1 - 2**-30), "1"]
 
+# Each command that takes --p and --q, with its other required options
+# but --n.
+PROBABILITY_COMMANDS = [
+    ["expect"],
+    ["gen", "--seed", "1"],
+    ["mc", "--samples", "2", "--seed", "1"],
+]
+
 
 class TestExpect:
     def test_prints_known_value(self, capsys):
@@ -130,11 +138,11 @@ class TestExpect:
         code, out, err = run(capsys, "expect", "--rational", "--n", "2", "--p", "1" * 5000, "--q", "1/2")
         assert (code, out) == (1, "")
         assert err == f"error: cannot parse probability {'1' * 40!r}... (5000 characters)\n"
-        # A float option, converted by argparse, quotes its value the same way.
+        # A float probability, read by ModelParams, is quoted the same way.
         p = "x" * 301
         code, out, err = run(capsys, "mc", "--n", "2", "--p", p, "--q", ".5", "--samples", "2", "--seed", "1")
         assert (code, out) == (1, "")
-        assert err.endswith(f"error: argument --p: invalid float value: {'x' * 40!r}... (301 characters)\n")
+        assert err == f"error: cannot parse probability {'x' * 40!r}... (301 characters)\n"
 
     @pytest.mark.parametrize("p", ["1e-9999999", "0e99999999", "1E+32769"])
     def test_probability_exponent_is_bounded_before_parsing(self, capsys, p):
@@ -156,8 +164,8 @@ class TestExpect:
         assert err.startswith("error: --p must be in [0, 1], got ")
         assert len(err) < 200
 
-    # Without --rational, ModelParams reads --p and --q; these are its
-    # refusals, byte for byte.
+    # Without --rational, ModelParams reads --p and --q, for every command
+    # that takes them; these are its refusals, byte for byte.
     @pytest.mark.parametrize(
         "option,value,message",
         [
@@ -171,13 +179,16 @@ class TestExpect:
         ],
     )
     def test_float_probability_refusals(self, capsys, option, value, message):
-        # argparse keeps an option's last value.
-        code, out, err = run(capsys, "expect", "--n", "3", "--p", "0.5", "--q", "0.5", option, value)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        for command in PROBABILITY_COMMANDS:
+            # argparse keeps an option's last value.
+            argv = [*command, "--n", "3", "--p", "0.5", "--q", "0.5", option, value]
+            assert (command[0], *run(capsys, *argv)) == (command[0], 1, "", f"error: {message}\n")
 
     def test_n_is_checked_before_the_probabilities(self, capsys):
-        code, out, err = run(capsys, "expect", "--n", "0", "--p", "abc", "--q", "0.5")
-        assert (code, out, err) == (1, "", "error: n must be >= 1, got 0\n")
+        for command in PROBABILITY_COMMANDS:
+            argv = [*command, "--n", "0", "--p", "abc", "--q", "0.5"]
+            want = (command[0], 1, "", "error: n must be >= 1, got 0\n")
+            assert (command[0], *run(capsys, *argv)) == want
 
     @pytest.mark.parametrize("n", ["2001", "1000000000"])
     def test_n_past_the_float_bound_exits_one_at_once(self, capsys, n):
