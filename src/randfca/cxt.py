@@ -36,11 +36,10 @@ class CxtDocument(Record):
     """A context plus the optional title text a file may carry."""
 
     context: FormalContext
-    title: str | None = None
+    title: str | None
 
-    def __post_init__(self) -> None:
-        if self.title == "":
-            object.__setattr__(self, "title", None)
+    def __init__(self, context: FormalContext, title: str | None = None) -> None:
+        self.__dict__.update(context=context, title=None if title == "" else title)
 
 
 def _need(lines: list[str], count: int, what: str) -> None:

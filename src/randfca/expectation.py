@@ -76,9 +76,9 @@ class Composition4(Record):
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        for name, part in vars(self).items():
-            object.__setattr__(self, name, integer(part, f"composition part {name}", low=0))
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        for name, part in ("a", a), ("b", b), ("c", c), ("d", d):
+            self.__dict__[name] = integer(part, f"composition part {name}", low=0)
 
     @property
     def total(self) -> int:

@@ -129,10 +129,9 @@ class ModelParams(Record):
     p: float
     q: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", integer(self.n, "n", low=1))
-        for name in ("p", "q"):
-            value = getattr(self, name)
+    def __init__(self, n: int, p: float, q: float) -> None:
+        self.__dict__["n"] = integer(n, "n", low=1)
+        for name, value in ("p", p), ("q", q):
             try:
                 x = float(value)
             except (TypeError, ValueError):
@@ -141,7 +140,7 @@ class ModelParams(Record):
                 x = value  # an int or fraction past the float range, quoted as given
             if not 0.0 <= x <= 1.0:
                 raise InputError(f"{name} must be in [0, 1], got {quote(x)}")
-            object.__setattr__(self, name, x)
+            self.__dict__[name] = x
 
 
 def _draw(params: ModelParams, seed: int) -> tuple[str, bytes]:

@@ -5,11 +5,11 @@ dataclasses, whose module alone costs several milliseconds of start-up."""
 class Record:
     """An immutable record whose fields are its class's annotated names, in order.
 
-    The constructor takes each field once, by position or keyword; a class
-    attribute of a field's name is its default. It then runs
-    `__post_init__`, which may set fields through object.__setattr__.
-    Records compare equal only to records of the same class with equal
-    fields, and hash over the fields. Assignment and deletion raise
+    The constructor takes each field exactly once, by position or keyword,
+    and stores the fields in their declared order. A record that checks or
+    converts its fields defines its own __init__, which stores them in that
+    order too. Records compare equal only to records of the same class with
+    equal fields, and hash over the fields. Assignment and deletion raise
     dataclasses.FrozenInstanceError, whose module is loaded only then.
     """
 
@@ -19,18 +19,13 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        cls, names = type(self), self._fields
-        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args) :]):
-            raise TypeError(f"{cls.__name__}() takes each of {names} at most once")
-        kwargs.update(zip(names, args))
-        for name in names:
-            if name not in kwargs and not hasattr(cls, name):
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-            self.__dict__[name] = kwargs[name] if name in kwargs else getattr(cls, name)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
+        names = self._fields
+        rest = names[len(args) :]
+        if len(args) > len(names) or kwargs.keys() != set(rest):
+            raise TypeError(f"{type(self).__name__}() takes each of {names} exactly once")
+        self.__dict__.update(zip(names, args))
+        for name in rest:
+            self.__dict__[name] = kwargs[name]
 
     def _values(self) -> tuple:
         return tuple([self.__dict__[name] for name in self._fields])

@@ -963,6 +963,33 @@ class TestErrorHandling:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,flag,shown",
+        [
+            (["gen", "--n", "abc", "--p", ".5", "--q", ".5", "--seed", "1"], "--n", "'abc'"),
+            (
+                ["mc", "--n", "2", "--p", ".5", "--q", ".5", "--samples", "x", "--seed", "1"],
+                "--samples",
+                "'x'",
+            ),
+            (["verify", "--max-n", "1.5"], "--max-n", "'1.5'"),
+            pytest.param(
+                ["gen", "--n", "2", "--p", ".5", "--q", ".5", "--seed", "9" * 5000],
+                "--seed",
+                f"'{'9' * 40}'... (5000 characters)",
+                id="5000-nines",
+            ),
+        ],
+    )
+    def test_unreadable_int_option_is_a_usage_error(self, capsys, argv, flag, shown):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        *usage, message = err.splitlines()
+        assert usage[0].startswith(f"usage: randfca {argv[0]} [-h]")
+        assert all(line.startswith(" ") for line in usage[1:])
+        assert message == f"error: argument {flag}: invalid int value: {shown}"
+        assert len(err.encode()) < 300
+
     def test_internal_error_exits_two(self, capsys, monkeypatch):
         def boom(ns):
             raise InternalError("wired for testing")

@@ -70,6 +70,11 @@ def test_every_record_keeps_its_contract(cls, kwargs, text):
     assert repr(record) == repr(by_position) == text
     assert record == by_position and hash(record) == hash(by_position)
     assert record != tuple(kwargs.values())
+    # Fields are stored in declaration order however they are passed: the
+    # CLI's payloads take their key order from vars() of a record.
+    backwards = cls(**dict(reversed(kwargs.items())))
+    assert list(vars(backwards))[: len(cls._fields)] == list(cls._fields)
+    assert repr(backwards) == repr(by_position)
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record and repr(copy) == text
     assert vars(record)
@@ -87,3 +92,8 @@ def test_every_record_keeps_its_contract(cls, kwargs, text):
         cls(*kwargs.values(), None)
     with pytest.raises(TypeError):
         cls(*kwargs.values(), **{name: next(iter(kwargs.values()))})
+
+
+def test_an_empty_title_is_no_title():
+    doc = CxtDocument(CTX, "")
+    assert doc == CxtDocument(CTX) and doc.title is None
