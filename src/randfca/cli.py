@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from typing import Any, Sequence
 
 from .asymptotics import DEFAULT_TABLE_NS, round_half_up, table_report
 from .context import MAX_CONCEPTS, Concept, FormalContext, count_concepts, enumerate_concepts
-from .context import _default_labels, _members
+from .context import _byte_tables, _default_labels
 from .cxt import CxtDocument, cross_rows, read_cxt, write_cxt
 from .errors import InputError, InternalError, RandFcaError, fraction_text, integer, quote
 from .expectation import (
@@ -113,14 +114,21 @@ _LISTING_FORMATS = {
 
 def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept], as_json: bool) -> str:
     """The concepts, one after another, in the text or the JSON listing
-    (the elements of the payload's "concepts" array, without its brackets),
-    from labels encoded once instead of per use."""
-    encode, open_, sep, close, empty, before, middle, after, between = _LISTING_FORMATS[as_json]
-    objects = [encode(label) for label in ctx.objects]
-    attributes = [encode(label) for label in ctx.attributes]
+    (the elements of the payload's "concepts" array, without its brackets).
 
-    def side(labels: list[str], mask: int) -> str:
-        return f"{open_}{sep.join(_members(labels, mask))}{close}" if mask else empty
+    A side is written a byte of its mask at a time: each label is encoded
+    once, with the separator in front, and each byte's run of labels is
+    joined once, on first use, in a byte table; the joined runs of a
+    nonempty side then begin with one separator too many.
+    """
+    encode, open_, sep, close, empty, before, middle, after, between = _LISTING_FORMATS[as_json]
+    objects = _byte_tables([sep + encode(label) for label in ctx.objects], operator.add, "")
+    attributes = _byte_tables([sep + encode(label) for label in ctx.attributes], operator.add, "")
+    get, skip = dict.__getitem__, len(sep)  # a table's __getitem__, which builds a missing entry
+
+    def side(tables: list[dict[int, str]], mask: int) -> str:
+        runs = "".join(map(get, tables, mask.to_bytes(len(tables), "little")))
+        return f"{open_}{runs[skip:]}{close}" if mask else empty
 
     # Never empty: every context has at least the concept closing the empty set.
     return between.join([

@@ -650,6 +650,37 @@ class TestConceptListing:
         assert code == 0
         assert out.getvalue() == _reference_text(ctx, algo)
 
+    # Sides of 9 to 24 labels span two or three bytes of a mask. Each label needs
+    # JSON escapes: a quote, a backslash, a control character and non-ASCII;
+    # label 8, the first of the second byte, is empty, so a byte's run of
+    # labels can be empty text. In the last context every row repeats one
+    # byte value at each of its three bytes.
+    @pytest.mark.parametrize(
+        "g, m, rows",
+        [
+            (17, 19, [0x5B3A7, 0x7FFFF, 0x3BEEF, 0x6D5B6, 0x1F0F0] * 3 + [0x100, 0x70001]),
+            (20, 9, [0x1FF ^ 1 << (i % 9) if i % 3 else 0x155 for i in range(20)]),
+            (18, 24, [v * 0x010101 for v in (0xFF, 0xB5, 0x0F, 0xF0, 0x3C, 0x81) * 3]),
+        ],
+        ids=["17x19", "20x9", "repeated-bytes-18x24"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_listing_across_byte_boundaries(self, cxt_path, g, m, rows, as_json):
+        def labels(tag: str, k: int) -> list[str]:
+            return ["" if i == 8 else f'{tag}{i}"\\\x1f\u00e9\U0001f600' for i in range(k)]
+
+        ctx = FormalContext.from_bit_rows(labels("g", g), labels("m", m), rows)
+        cxt_path.write_bytes(write_cxt(CxtDocument(ctx)).encode("utf-8"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["concepts", "--in", str(cxt_path), *(["--json"] if as_json else [])])
+        assert code == 0
+        if as_json:
+            text = re.sub(r'"wall_time_ms": \d+\n\}\n\Z', '"wall_time_ms": 0\n}\n', out.getvalue())
+            assert text == _reference_listing(ctx, "intersection", str(cxt_path))
+        else:
+            assert out.getvalue() == _reference_text(ctx, "intersection")
+
     @pytest.mark.parametrize("extra", [(), ("--json",), ("--count-only",)])
     def test_context_past_the_concept_cap_exits_one(self, capsys, tmp_path, monkeypatch, extra):
         path = tmp_path / "ctx.cxt"

@@ -30,6 +30,7 @@ from randfca import (
     read_cxt,
     write_cxt,
 )
+from randfca import context
 from randfca.context import MAX_CONCEPT_INDEX
 from randfca.cxt import cross_rows
 
@@ -420,6 +421,40 @@ def test_intersection_matches_close_by_one(ctx):
     concepts = enumerate_concepts(ctx, "close-by-one")
     assert enumerate_concepts(ctx, "intersection") == concepts
     assert count_concepts(ctx, "intersection") == len(concepts)
+
+
+# Side lengths at and around the byte boundaries of a mask, so that the byte
+# tables of the intersection derivation have full, partial and no blocks.
+_BYTE_SIDES = (0, 1, 7, 8, 9, 16, 17)
+
+
+def _pairs(ctx: FormalContext, algorithm: str) -> list[tuple[int, int]]:
+    return sorted(context._TRAVERSALS[algorithm](ctx))
+
+
+# The (g, m) pairs run both orientations, as g > m closes the columns. At
+# q = .15 most closed sets have no more bits than their masks have bytes,
+# so their other side is derived bit by bit; at q = .85 most are derived
+# through the byte tables. Both ways run at both densities and orientations.
+@pytest.mark.parametrize("q", [0.15, 0.85], ids=["sparse", "dense"])
+@pytest.mark.parametrize("m", _BYTE_SIDES)
+@pytest.mark.parametrize("g", _BYTE_SIDES)
+def test_intersection_pairs_match_the_oracles_across_byte_boundaries(g, m, q):
+    rng = random.Random(f"{g} {m} {q}")
+    ctx = build_context(g, m, [sum(1 << j for j in range(m) if rng.random() < q) for _ in range(g)])
+    pairs = _pairs(ctx, "intersection")
+    assert pairs == _pairs(ctx, "close-by-one")
+    if g <= context.MAX_SCAN_OBJECTS:
+        assert pairs == _pairs(ctx, "closure-scan")
+
+
+@pytest.mark.parametrize(
+    "g, m, want",
+    [(3, 0, [(0b111, 0)]), (0, 3, [(0, 0b111)]), (0, 0, [(0, 0)]), (9, 0, [(0x1FF, 0)])],
+    ids=["no-attributes", "no-objects", "neither", "no-attributes-over-a-byte"],
+)
+def test_intersection_pairs_with_a_zero_width_side(g, m, want):
+    assert list(context._intersection(build_context(g, m, [0] * g))) == want
 
 
 # Rows and a width m; the rows carry bits at and above m too.
