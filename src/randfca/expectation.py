@@ -171,10 +171,10 @@ def expected_concepts(params: ModelParams) -> ExpectationReport:
 
     n <= MAX_EXPECT_N = 2000 is checked before any work. At n = 2000 the
     widest windows, at q near .999, walk about 150,000 of the 2,003,001
-    terms: (2000, .5, .999) takes about 0.1 s on one core of an Intel Xeon
-    (the full sum 1.2 s). ``value`` = exp(``log_value``) cannot overflow, since
-    E <= 2**(n // 2) and MAX_EXPECT_N <= 2047; a larger bound must handle
-    the overflow there.
+    terms: (2000, .5, .999) takes about 0.07 s on one core of a 2-vCPU Intel
+    Xeon VM under Python 3.11.7 (the full sum 1.2 s on an Intel Xeon core).
+    ``value`` = exp(``log_value``) cannot overflow, since E <= 2**(n // 2)
+    and MAX_EXPECT_N <= 2047; a larger bound must handle the overflow there.
     """
     n = integer(params.n, "n", high=MAX_EXPECT_N, bounded_by="float evaluation")
     p, q = params.p, params.q
@@ -214,7 +214,9 @@ def _windowed_log_sum(n: int, p: float, q: float) -> float:
     2. Take top, the largest mode, and cut = top - 50 - 2 ln(n + 1).
     3. Skip each row whose mode is below the cut. Walk each other row out
        from its mode until a term falls below the cut, and add the walked
-       terms, in (a, b) order, with :func:`log_sum_exp`.
+       terms, in (a, b) order, with :func:`log_sum_exp`. The walk evaluates
+       each term inline, from parts hoisted per row and per column, in
+       `term`'s operation order.
 
     By unimodality every term left out lies below the cut. There are
     C(n+2, 2) <= (n+1)**2 terms, so together they are below
@@ -227,6 +229,8 @@ def _windowed_log_sum(n: int, p: float, q: float) -> float:
     log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
     log_miss = [-math.inf] + [log1mexp(k * log_q) for k in range(1, n + 1)]  # ln(1 - q**k)
     log_n_fact = log_fact[n]
+    log_p_miss = [log_p + m for m in log_miss]  # ln(p * (1 - q**b))
+    b_log_not_p = [b * log_not_p for b in range(n + 1)]
     log1p, exp = math.log1p, math.exp
 
     def term(a: int, b: int) -> float:
@@ -234,12 +238,12 @@ def _windowed_log_sum(n: int, p: float, q: float) -> float:
         r = n - a - b
         if b < 0 or r < 0 or a == b == 0:
             return -math.inf
-        x, y = log_p + log_miss[b], log_not_p + log_miss[a]
+        x, y = log_p_miss[b], log_not_p + log_miss[a]
         if x < y:
             x, y = y, x
         return (
             log_n_fact - log_fact[a] - log_fact[b] - log_fact[r]
-            + a * log_p + b * log_not_p + a * b * log_q
+            + a * log_p + b_log_not_p[b] + a * b * log_q
             + r * (x + log1p(exp(y - x)))
         )
 
@@ -262,18 +266,31 @@ def _windowed_log_sum(n: int, p: float, q: float) -> float:
     for a, (top, mode, left, right) in enumerate(rows):
         if top < cut:
             continue
-        walked, b = [], mode - 1
-        while left >= cut:
-            walked.append(left)
-            b -= 1
-            left = term(a, b)
+        if left < cut and right < cut:
+            logs.append(top)
+            continue
+        # Walk out from the climb's terms next to the mode, with term(a, b) inline;
+        # reversing after each direction leaves `reversed(walked)` in (a, b) order.
+        head, ap, y_a = log_n_fact - log_fact[a], a * log_p, log_not_p + log_miss[a]
+        walked, lo = [top], -1 if a else 0  # row 0 ends at b = 1, before term (0, 0)
+        for log_t, bs in (left, range(mode - 2, lo, -1)), (right, range(mode + 2, n - a + 1)):
+            for b in bs:
+                if log_t < cut:
+                    break
+                walked.append(log_t)
+                r = n - a - b
+                x, y = log_p_miss[b], y_a
+                if x < y:
+                    x, y = y, x
+                log_t = (
+                    head - log_fact[b] - log_fact[r]
+                    + ap + b_log_not_p[b] + a * b * log_q
+                    + r * (x + log1p(exp(y - x)))
+                )
+            if log_t >= cut:
+                walked.append(log_t)
+            walked.reverse()
         logs += reversed(walked)
-        logs.append(top)
-        b = mode + 1
-        while right >= cut:
-            logs.append(right)
-            b += 1
-            right = term(a, b)
     return log_sum_exp(logs)
 
 
@@ -308,13 +325,13 @@ def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
 
     p and q are anything Fraction() reads, such as "1/3" or "1e-5", a
     text's decimal exponent at most MAX_EXACT_BITS in size. Used to
-    calibrate the float path. The numerators are summed as
-    integers over one common denominator (see the module docstring), so
-    only the result is reduced. Their size is bounded before any work:
-    n <= MAX_EXACT_N, and the common denominator v**n * t**E, measured as
-    n * bits(v) + E * bits(t), at most MAX_EXACT_BITS = 2**15 bits. The
-    slowest accepted input measured, n = 192 at p = 12345/33554393,
-    q = 3/7 (32448 bits), takes 4.2 s on one core of an Intel Xeon.
+    calibrate the float path. The numerators are summed as integers over
+    one common denominator (see the module docstring), so only the result
+    is reduced. Their size is bounded before any work: n <= MAX_EXACT_N,
+    and the common denominator v**n * t**E, measured as n * bits(v) +
+    E * bits(t), at most MAX_EXACT_BITS = 2**15 bits. The slowest accepted
+    input measured, n = 192 at p = 12345/33554393, q = 3/7 (32448 bits),
+    takes 1.9-2.4 s on one core of a 2-vCPU Intel Xeon VM, Python 3.11.7.
     """
     n = integer(n, "n", low=1, high=MAX_EXACT_N, bounded_by="exact evaluation")
     p = _probability(p, "p")
@@ -334,15 +351,13 @@ def expected_concepts_exact(n: int, p: Fraction, q: Fraction) -> Fraction:
     # Numerators grouped by k = max(a, b), which fixes the power of t.
     by_k = [0] * (n + 1)
     for a in range(n + 1):
-        row = math.comb(n, a) * u**a
-        s_a = s**a
-        s_ab = w_b = 1
+        # coef = C(n, a) u**a C(n-a, b) (w s**a)**b; // is exact: C(n-a, b) (n-a-b) = C(n-a, b+1) (b+1)
+        coef, ws, w_miss = math.comb(n, a) * u**a, w * s**a, w * miss[a]
         for b in range(n - a + 1):
-            k = max(a, b)
-            bracket = u * miss[b] * t_pow[k - b] + w * miss[a] * t_pow[k - a]
-            by_k[k] += row * math.comb(n - a, b) * w_b * s_ab * bracket ** (n - a - b)
-            s_ab *= s_a
-            w_b *= w
+            k = b if b > a else a
+            bracket = u * miss[b] * t_pow[k - b] + w_miss * t_pow[k - a]
+            by_k[k] += coef * bracket ** (n - a - b)
+            coef = coef * (n - a - b) * ws // (b + 1)
     total = sum(part * t ** (top - k * (n - k)) for k, part in enumerate(by_k))
     from fractions import Fraction
 

@@ -18,6 +18,7 @@ from randfca import (
     expected_concepts,
     expected_concepts_bruteforce,
     expected_concepts_exact,
+    log1mexp,
     log_one_minus_pow,
     log_sum_exp,
     log_term,
@@ -313,6 +314,110 @@ def test_log_value_against_high_precision_reference(n, p, q):
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
+# The row kernel as it was before its walk evaluated each term inline, from
+# parts hoisted per row and per column; kept verbatim, `term` call for call.
+# A stored table of hex digits would pin the same bits only on the libm that
+# made it; this reference runs on the same libm as the kernel it checks.
+def walk_by_term_calls(n: int, p: float, q: float) -> float:
+    """ln E for 0 < p < 1 and 0 < q < 1, from the terms near each row's mode.
+
+    Row a is the collapsed terms (a, b), b = 0..n-a. Each row is log-concave
+    in b: -lgamma(b+1) - lgamma(r+1) is concave, b * ln(1-p) + a*b * ln q is
+    linear, and r * ln B(b), with r = n - a - b and B the bracket, has second
+    derivative r * (ln B)'' - 2 * (ln B)' <= 0, since ln B is concave and
+    increasing in b (1 - q**b is). So each row is unimodal, and a climb
+    from any start ends at its mode. The sum runs in three steps:
+
+    1. Climb to each row's mode, starting from the previous row's mode
+       (row 0 starts at b = 1, past its one zero term (0, 0)).
+    2. Take top, the largest mode, and cut = top - 50 - 2 ln(n + 1).
+    3. Skip each row whose mode is below the cut. Walk each other row out
+       from its mode until a term falls below the cut, and add the walked
+       terms, in (a, b) order, with :func:`log_sum_exp`.
+
+    By unimodality every term left out lies below the cut. There are
+    C(n+2, 2) <= (n+1)**2 terms, so together they are below
+    e**top * e**-50 <= e**-50 * E: ln E moves by less than 2e-22, far below
+    the absolute error the float terms carry (a few ulp of ln n!). Each term
+    is computed with the same operations in the same order as a full sum of
+    all terms would, so only the terms left out can change the result.
+    """
+    log_p, log_not_p, log_q = math.log(p), math.log1p(-p), math.log(q)
+    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+    log_miss = [-math.inf] + [log1mexp(k * log_q) for k in range(1, n + 1)]  # ln(1 - q**k)
+    log_n_fact = log_fact[n]
+    log1p, exp = math.log1p, math.exp
+
+    def term(a: int, b: int) -> float:
+        """ln of term (a, b); -inf at the zero term (0, 0) and past the row's ends."""
+        r = n - a - b
+        if b < 0 or r < 0 or a == b == 0:
+            return -math.inf
+        x, y = log_p + log_miss[b], log_not_p + log_miss[a]
+        if x < y:
+            x, y = y, x
+        return (
+            log_n_fact - log_fact[a] - log_fact[b] - log_fact[r]
+            + a * log_p + b * log_not_p + a * b * log_q
+            + r * (x + log1p(exp(y - x)))
+        )
+
+    # Each row's mode with the terms on either side of it, which the walk
+    # starts from.
+    rows = []
+    b = 1
+    for a in range(n + 1):
+        b = min(b, n - a)
+        left, top, right = term(a, b - 1), term(a, b), term(a, b + 1)
+        while right > top:
+            b += 1
+            left, top, right = top, right, term(a, b + 1)
+        while left > top:
+            b -= 1
+            left, top, right = term(a, b - 1), left, top
+        rows.append((top, b, left, right))
+    cut = max(rows)[0] - 50.0 - 2.0 * math.log(n + 1)
+    logs = []
+    for a, (top, mode, left, right) in enumerate(rows):
+        if top < cut:
+            continue
+        walked, b = [], mode - 1
+        while left >= cut:
+            walked.append(left)
+            b -= 1
+            left = term(a, b)
+        logs += reversed(walked)
+        logs.append(top)
+        b = mode + 1
+        while right >= cut:
+            logs.append(right)
+            b += 1
+            right = term(a, b)
+    return log_sum_exp(logs)
+
+
+BIT_PINNED = {
+    "full-grid": [(n, p, q) for n in (40, 80, 200, 1000, 2000) for p in FULL_GRID for q in FULL_GRID],
+    "extremes": [(n, p, q) for n in (2, 3, 7, 40) for p in EXTREMES for q in EXTREMES],
+    "benchmark": list(HIGH_PRECISION_LOG)[:12],
+}
+
+
+@pytest.mark.parametrize("points", BIT_PINNED.values(), ids=list(BIT_PINNED))
+def test_log_value_is_bit_identical_to_the_walk_by_term_calls(points):
+    """Every interior log_value equals, bit for bit, the walk that calls
+    `term` for each term: hoisting a term's parts out of the walk keeps each
+    operation and its order. The edges p, q in {0, 1} take closed forms."""
+    differ = []
+    for n, p, q in points:
+        if 0.0 < p < 1.0 and 0.0 < q < 1.0:
+            got = expected_concepts(ModelParams(n, p, q)).log_value
+            want = max(0.0, walk_by_term_calls(n, p, q))
+            if got.hex() != want.hex():
+                differ.append(f"{(n, p, q)}: {got.hex()} != {want.hex()}")
+    assert not differ, differ
+
+
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("n", [40, 200, 1000])
 def test_log_value_at_q_one_is_within_ulps_of_ln_n_factorial(n, p):
@@ -447,6 +552,14 @@ class TestExactRational:
             # the benchmark's two rational evaluations
             (32, Fraction(1, 2), Fraction(1, 2)),
             (40, Fraction(1, 3), Fraction(2, 5)),
+            # u = 0, w = 0, s = 0 and s = t: the running coefficient meets
+            # its zero factors and still divides exactly by b + 1
+            *(
+                (n, Fraction(p), Fraction(q))
+                for n in (1, 2, 3, 7, 12)
+                for p in (0, "1/2", 1)
+                for q in (0, "1/2", 1)
+            ),
         ],
     )
     def test_equals_fraction_loop_at_fixed_points(self, n, p, q):
