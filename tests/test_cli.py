@@ -256,16 +256,16 @@ class TestParserReuse:
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # Only `mc --workers W` with W > 1 needs the pool; every other command
-    # would pay for loading it at start-up. Modules that the interpreter's
-    # own start-up loads are already there before the import, so they drop out.
-    # With the pool loaded too, the runtime is still the standard library:
-    # every added module is randfca's own, built in, under stdlib but not in
-    # site-packages (which may lie inside it), or the alias `__mp_main__` that
-    # multiprocessing gives this script's `__main__`.
+    # No command loads concurrent.futures or multiprocessing: `mc --workers W`
+    # forks its own children, and only then loads pickle, which start-up
+    # would otherwise pay for. Modules that the interpreter's own start-up
+    # loads are already there before the import, so they drop out. With
+    # `mc`'s modules loaded too, the runtime is still the standard library:
+    # every added module is randfca's own, built in, or under stdlib but not
+    # in site-packages (which may lie inside it).
     code = textwrap.dedent(
         """\
-        import sys, sysconfig
+        import os, sys, sysconfig
         from pathlib import Path
         sys.path.insert(0, sys.argv[1])
 
@@ -280,8 +280,6 @@ def test_import_leaves_the_process_pool_unloaded():
                 module = sys.modules[name]
                 if name.split(".")[0] == "randfca" or name in sys.builtin_module_names:
                     continue
-                if module is sys.modules["__main__"]:
-                    continue
                 path = getattr(module, "__file__", None)
                 parents = Path(path).resolve().parents if path else ()
                 if stdlib not in parents or site.intersection(parents):
@@ -291,6 +289,7 @@ def test_import_leaves_the_process_pool_unloaded():
         import randfca.cli
         print(" ".join(added(before)))
         from randfca import ModelParams, estimate
+        os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so estimate forks
         estimate(ModelParams(6, .5, .5), 20, 1, workers=2)
         print(" ".join(added(before)))
         print(" ".join(foreign(added(before))))
@@ -301,14 +300,15 @@ def test_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    at_import, with_pool, foreign = (line.split() for line in result.stdout.split("\n")[:3])
+    at_import, with_mc, foreign = (line.split() for line in result.stdout.split("\n")[:3])
     assert "randfca.cli" in at_import
     unwanted = (
-        "concurrent", "multiprocessing", "statistics", "dataclasses", "inspect", "fractions",
-        "decimal",
+        "concurrent", "multiprocessing", "pickle", "statistics", "dataclasses", "inspect",
+        "fractions", "decimal",
     )
     assert [name for name in at_import if name.split(".")[0] in unwanted] == []
-    assert "concurrent.futures.process" in with_pool
+    assert "pickle" in with_mc
+    assert [name for name in with_mc if name.split(".")[0] in unwanted[:2]] == []
     assert foreign == []
 
 
