@@ -37,6 +37,27 @@ from randfca.cxt import cross_rows
 from conftest import build_context, contexts, random_context
 
 
+def _closed_side_context(density: float, k: int, o: int, tall: bool, seed: int) -> FormalContext:
+    """A random context whose closed side has k words o bits wide, with
+    round(density * k * o) incidences: one full word, a duplicated pair,
+    an empty word unless the density leaves no room for one, and random
+    words. `tall` gives it o objects and k attributes, so that its columns
+    are closed; otherwise k objects and o attributes, its rows."""
+    rng = random.Random(f"{density} {k} {o} {tall} {seed}")
+    empty = density < 0.9
+    twin = sum(1 << j for j in rng.sample(range(o), round(density * o)))
+    free = k - 3 - empty
+    ones = round(density * k * o) - o - 2 * twin.bit_count()
+    words = [0] * free
+    for cell in rng.sample(range(free * o), ones):
+        words[cell // o] |= 1 << cell % o
+    words += [(1 << o) - 1, twin, twin] + [0] * empty
+    rng.shuffle(words)
+    if not tall:
+        return build_context(k, o, words)
+    return build_context(o, k, [sum((w >> j & 1) << i for i, w in enumerate(words)) for j in range(o)])
+
+
 class TestConstruction:
     def test_duplicate_object_labels_rejected(self):
         with pytest.raises(InputError, match="^object labels must be pairwise distinct$"):
@@ -256,8 +277,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("algorithm", ["intersection", "cbo", "scan"])
     @pytest.mark.parametrize(
         "ctx",
-        [contranomial(4), build_context(5, 4, [0b0011, 0b0110, 0b1100, 0b1001, 0b0101])],
-        ids=["contranomial4", "5x4"],
+        [
+            contranomial(4),
+            build_context(5, 4, [0b0011, 0b0110, 0b1100, 0b1001, 0b0101]),
+            # More than 16 closed words: the fold, and the last-zero order.
+            _closed_side_context(0.2, 17, 20, False, 0),
+            _closed_side_context(0.9, 17, 18, False, 0),
+        ],
+        ids=["contranomial4", "5x4", "sparse-17x20", "dense-17x18"],
     )
     def test_cap_accepts_at_it_and_refuses_one_past_it(self, monkeypatch, algorithm, ctx):
         want = enumerate_concepts(ctx, algorithm)
@@ -455,6 +482,60 @@ def test_intersection_pairs_match_the_oracles_across_byte_boundaries(g, m, q):
 )
 def test_intersection_pairs_with_a_zero_width_side(g, m, want):
     assert list(context._intersection(build_context(g, m, [0] * g))) == want
+
+
+# (density, closed words, their width): both sides of the fold's 1/4 and of
+# the last-zero order's 3/4, with more than context._ORDERED_MIN_WORDS words.
+_CLOSED_SIDES = [
+    (0.05, 40, 44),
+    (0.24, 30, 33),
+    (0.26, 30, 32),
+    (0.5, 18, 21),
+    (0.74, 17, 18),
+    (0.76, 17, 18),
+    (0.95, 17, 21),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tall", [False, True], ids=["fewer-objects", "more-objects"])
+@pytest.mark.parametrize("density, k, o", _CLOSED_SIDES, ids=[str(d) for d, _, _ in _CLOSED_SIDES])
+def test_reordered_closure_matches_the_oracles(density, k, o, tall, seed):
+    ctx = _closed_side_context(density, k, o, tall, seed)
+    # It falls on the intended side of both thresholds, and the side closed is k words.
+    actual = ctx.incidence_count / (k * o)
+    assert (actual < context._SPARSE_DENSITY, actual > context._DENSE_DENSITY) == (
+        density < 0.25,
+        density > 0.75,
+    )
+    assert context._closed_sets(ctx)[1] is tall
+    concepts = enumerate_concepts(ctx, "close-by-one")
+    assert enumerate_concepts(ctx, "intersection") == concepts
+    assert count_concepts(ctx, "intersection") == len(concepts)
+    if ctx.object_count <= context.MAX_SCAN_OBJECTS:
+        assert enumerate_concepts(ctx, "closure-scan") == concepts
+    rows = list(ctx._rows)
+    random.Random(seed).shuffle(rows)
+    shuffled = build_context(ctx.object_count, ctx.attribute_count, rows)
+    assert count_concepts(shuffled, "intersection") == len(concepts)
+
+
+def test_last_zero_order_takes_the_positions_with_most_zeros_first():
+    # Zeros: positions 0 and 3 have two each, 1 has one, 2 none; so word 0
+    # (zero at 0) and word 4 (none) come first, then the words whose last
+    # zero is at 3, then word 3 (zero at 1).
+    words = [0b1110, 0b0111, 0b0110, 0b1101, 0b1111]
+    others = [sum((w >> j & 1) << i for i, w in enumerate(words)) for j in range(4)]
+    assert context._by_last_zero(words, others) == [0b1110, 0b1111, 0b0111, 0b0110, 0b1101]
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["fewer-objects", "more-objects"])
+def test_a_dense_side_is_ordered_against_its_transpose(monkeypatch, tall):
+    ctx = _closed_side_context(0.95, 17, 21, tall, 0)
+    calls, by_last_zero = [], context._by_last_zero
+    monkeypatch.setattr(context, "_by_last_zero", lambda *sides: calls.append(sides) or by_last_zero(*sides))
+    count_concepts(ctx)
+    assert calls == [(ctx._cols, ctx._rows) if tall else (ctx._rows, ctx._cols)]
 
 
 # Rows and a width m; the rows carry bits at and above m too.

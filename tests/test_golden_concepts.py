@@ -3,9 +3,11 @@
 The manifest, golden_concepts.json next to this file, maps each command
 line to its exit code, the sha256 of its stdout with the JSON envelope's
 `wall_time_ms` set to 0, and its stderr. The inputs are contranomial(14)
-and three `gen`-made contexts: sparse and wide, dense, and with more
-objects than attributes; each is listed in text, `--json`, `--count-only`,
-`--json --algo cbo`, and `--algo scan` where it has at most 20 objects.
+and four `gen`-made contexts: sparse and wide, dense, with more objects
+than attributes, and sparse with more than 16 words on its closed side
+(so that they are reordered and folded); each is listed in text,
+`--json`, `--count-only`, `--json --algo cbo`, and `--algo scan` where it
+has at most 20 objects.
 The `gen` commands are entries too, so the inputs are pinned with the
 outputs. A change that alters an output regenerates the manifest with
 
@@ -30,25 +32,31 @@ import pytest
 
 from randfca import CxtDocument, contranomial, write_cxt
 from randfca.cli import main
+from randfca.context import MAX_SCAN_OBJECTS
 
 MANIFEST = Path(__file__).with_name("golden_concepts.json")
 
-# Input file name -> the `gen` options that write it, or None for contranomial(14).
+# Input file name -> (the `gen` options that write it, or None for
+# contranomial(14); its object count).
 INPUTS = {
-    "contranomial14.cxt": None,
-    "sparse_wide.cxt": ("--n", "150", "--p", "0.15", "--q", "0.08", "--seed", "2"),  # 14 x 136
-    "dense.cxt": ("--n", "44", "--p", "0.4", "--q", "0.9", "--seed", "4"),  # 14 x 30
-    "tall.cxt": ("--n", "28", "--p", "0.65", "--q", "0.5", "--seed", "3"),  # 17 x 11
+    "contranomial14.cxt": (None, 14),
+    "sparse_wide.cxt": (("--n", "150", "--p", "0.15", "--q", "0.08", "--seed", "2"), 14),  # 14 x 136
+    "dense.cxt": (("--n", "44", "--p", "0.4", "--q", "0.9", "--seed", "4"), 14),  # 14 x 30
+    "tall.cxt": (("--n", "28", "--p", "0.65", "--q", "0.5", "--seed", "3"), 17),  # 17 x 11
+    "sparse_large.cxt": (("--n", "120", "--p", "0.5", "--q", "0.15", "--seed", "5"), 67),  # 67 x 53
 }
-MODES = ((), ("--json",), ("--count-only",), ("--json", "--algo", "cbo"), ("--algo", "scan"))
+MODES = ((), ("--json",), ("--count-only",), ("--json", "--algo", "cbo"))
+SCAN = ("--algo", "scan")
 
 
 def _commands() -> list[tuple[str, ...]]:
-    """Every command line of the manifest, in its order; all four inputs
-    have at most 20 objects, so each is also listed by closure-scan."""
-    commands = [("gen", *options) for options in INPUTS.values() if options is not None]
-    for name in INPUTS:
-        commands += [("concepts", "--in", name, *mode) for mode in MODES]
+    """Every command line of the manifest, in its order: the `gen` lines,
+    then each input in every mode, and by closure-scan too where it has
+    at most MAX_SCAN_OBJECTS objects."""
+    commands = [("gen", *options) for options, _ in INPUTS.values() if options is not None]
+    for name, (_, objects) in INPUTS.items():
+        modes = MODES + (SCAN,) if objects <= MAX_SCAN_OBJECTS else MODES
+        commands += [("concepts", "--in", name, *mode) for mode in modes]
     return commands
 
 
@@ -71,7 +79,7 @@ def _outcomes(workdir: Path) -> dict[str, dict]:
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        for name, options in INPUTS.items():
+        for name, (options, _) in INPUTS.items():
             if options is None:
                 Path(name).write_text(write_cxt(CxtDocument(contranomial(14))), encoding="utf-8")
             else:
