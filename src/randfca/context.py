@@ -25,21 +25,21 @@ counting run through each:
   intersection of object rows (Norris 1978), so closing the rows under
   intersection in a set yields each intent once, with no closure and no
   canonicity test. The smaller side's words are the ones closed. The
-  family does not depend on their order, but the work does, so a side of
-  more than 16 words is reordered (a smaller one loses more to the
-  reordering than it saves): sparsest word first, as its intersections
-  are mostly sets already found; or, above density 3/4, where an
-  intersection's zeros are the union of its words' zeros, each word once
-  the positions of its zeros are all taken, most zeros first. Below
-  density 1/4 each word's intersections, mostly duplicates, are first
-  deduplicated in a small set of their own. The production traversal; it
-  holds one int per concept. A listing then derives the other side of
-  each closed set through byte tables (Arlazarov, Dinic, Kronrod &
-  Faradzev 1970): per block of 8 words, the AND of the words at each byte
-  value's set bits, built on first use, so a set takes one lookup per
-  byte of its mask. A set with no more bits than its mask has bytes takes
-  one AND per bit instead, the cheaper way for it; counting derives
-  nothing.
+  family does not depend on their order, but the work does, so a side
+  whose table has more than 200 cells is reordered (a smaller one loses
+  more to the reordering than it saves): sparsest word first, as its
+  intersections are mostly sets already found; or, above density 3/4,
+  where an intersection's zeros are the union of its words' zeros, each
+  word once the positions of its zeros are all taken, most zeros first.
+  Below density 1/4 each word's intersections, mostly duplicates, are
+  first deduplicated in a small set of their own. The production
+  traversal; it holds one int per concept. A listing then derives the
+  other side of each closed set through byte tables (Arlazarov, Dinic,
+  Kronrod & Faradzev 1970): per block of 8 words, the AND of the words at
+  each byte value's set bits, built on first use, so a set takes one
+  lookup per byte of its mask. A set with no more bits than its mask has
+  bytes takes one AND per bit instead, the cheaper way for it; counting
+  derives nothing.
 * ``close-by-one``: canonical depth-first generation over an explicit
   stack, so no context depth meets Python's recursion limit; each closed
   extent is produced exactly once. Its memory grows only with the depth
@@ -84,12 +84,14 @@ MAX_CONCEPTS = 2**18
 # contranomial(5000) takes about 0.4 s and 90 MB.
 MAX_BUILT_SIDE = 5000
 
-# _closed_sets reorders a closed side of more than this many words. Below it
-# reordering costs more than it saves on the smallest contexts: the samples
-# at n = 20, q = .5 close at most 10 words, and reordering them made their
-# closure 9% slower (13.0 to 14.3 us per sample), while a 100-word side at
-# density .2 closed 35% faster.
-_ORDERED_MIN_WORDS = 16
+# _closed_sets reorders a closed side whose table has more than this many
+# cells. Below it reordering costs more than it saves: mean closure per
+# sample over 300 samples of master seed 8 at (20, .5, .5), tables of at
+# most 100 cells, 9.4 us in the words' own order and 10.6 us reordered.
+# Against a guard of more than 16 words instead, this cut took (30, .5,
+# .5) from 53.0 to 48.6 us, (30, .5, .9) 77.0 to 64.5, (40, .5, .1) 16.3
+# to 16.1 and (40, .5, .9) 694 to 678 (medians of interleaved runs).
+_ORDERED_MIN_CELLS = 200
 # Above this density such a side is closed in _by_last_zero's order, below
 # it sparsest word first. Counted over the samples of more than 16 words
 # among 100 at n = 40, ascending order formed fewer intersections than the
@@ -315,25 +317,25 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
     rows, the columns are closed instead, and give its extents. The family
     does not depend on the order the words are closed in, but the work
     does, as each word is intersected with every set found so far. So a
-    closed side of more than _ORDERED_MIN_WORDS words is reordered to keep
-    the family small for longer: sparsest word first, whose intersections
-    are mostly sets already held, or, above _DENSE_DENSITY, in the order of
-    _by_last_zero. Below _SPARSE_DENSITY each word's intersections are
-    gathered in a set of their own first: most are duplicates, which that
-    small set drops before they reach the large one. A smaller side keeps
-    the plain loop in its own order, as reordering would cost more than it
-    saves. The count is checked against MAX_CONCEPTS once per word, so at
-    most about twice the cap is ever held; the count a refusal quotes
-    depends on the order.
+    closed side whose table has more than _ORDERED_MIN_CELLS cells is
+    reordered to keep the family small for longer: sparsest word first,
+    whose intersections are mostly sets already held, or, above
+    _DENSE_DENSITY, in the order of _by_last_zero. Below _SPARSE_DENSITY
+    each word's intersections are gathered in a set of their own first:
+    most are duplicates, which that small set drops before they reach the
+    large one. A smaller table keeps the plain loop in its own order, as
+    reordering would cost more than it saves. The count is checked against
+    MAX_CONCEPTS once per word, so at most about twice the cap is ever
+    held; the count a refusal quotes depends on the order.
     """
     words, full, transposed = ctx._rows, (1 << len(ctx.attributes)) - 1, False
     if len(ctx._cols) < len(ctx._rows):
         words, full, transposed = ctx._cols, (1 << len(ctx.objects)) - 1, True
     closed = {full}
-    if len(words) > _ORDERED_MIN_WORDS:
-        others = ctx._rows if transposed else ctx._cols
-        # Both sides have more than 16 elements here, so the product is positive.
-        density = ctx.incidence_count / (len(words) * len(others))
+    others = ctx._rows if transposed else ctx._cols
+    cells = len(words) * len(others)
+    if cells > _ORDERED_MIN_CELLS:
+        density = ctx.incidence_count / cells
         if density < _SPARSE_DENSITY:
             for word in sorted(words, key=int.bit_count):
                 closed |= {c & word for c in closed}

@@ -25,9 +25,11 @@ The sampler computes the words up to _LANES at a time, one per 128-bit lane
 of a Python integer, so each step of mix64 is one big-integer operation
 for all of them. That changes how the words are computed, not which:
 the stream, its order and the Bernoulli rule are as stated above, and
-where a chunk of lanes ends never changes a draw. The incidence digits,
-in draw order, are the context's row-major digits, which its constructor
-takes as they are.
+where a chunk of lanes ends never changes a draw. Each chunk size's lane
+constants depend on that size alone, not on a seed or a threshold, so they
+are built once per process and kept in a bounded memo. The incidence
+digits, in draw order, are the context's row-major digits, which its
+constructor takes as they are.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ MAX_DRAW_N = 5000
 _LANES = 1024
 # Byte 8 of a lane (bit 64) is 1 iff its word failed the Bernoulli draw.
 _NEGATED_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
+# Side digits (b"1" object) to compress() selectors for each side.
+_OBJECT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_ATTRIBUTE_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def _master_of(seed: int) -> int:
@@ -83,13 +88,18 @@ def _threshold(p: float) -> int:
     return int(p * 18446744073709551616.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _lane_constants(lanes: int) -> tuple[int, int, int]:
-    """(ones, mask, steps) over `lanes` 128-bit lanes: lane i holds 1,
-    2**64 - 1 and (i + 1) * GOLDEN_GAMMA mod 2**64 respectively."""
-    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * lanes, "little")
+@functools.lru_cache(maxsize=64)
+def _lane_constants(size: int) -> tuple[int, int, int]:
+    """(ones, mask, steps) over `size` 128-bit lanes: lane i holds 1,
+    2**64 - 1 and (i + 1) * GOLDEN_GAMMA mod 2**64 respectively.
+
+    They depend on the chunk size alone, so each size's constants are built
+    once per process and kept in a bounded memo. The benchmark's mc points
+    meet about 20 sizes; an entry is at most 48 KB, at 1024 lanes.
+    """
+    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * size, "little")
     steps = b"".join(
-        (k * GOLDEN_GAMMA & MASK64).to_bytes(16, "little") for k in range(1, lanes + 1)
+        (k * GOLDEN_GAMMA & MASK64).to_bytes(16, "little") for k in range(1, size + 1)
     )
     return ones, ones * MASK64, int.from_bytes(steps, "little")
 
@@ -105,14 +115,10 @@ def _bernoulli_digits(seed: int, start: int, count: int, p: float) -> Iterator[b
     then sets bit 64 of a lane iff its word is not below the threshold T.
     """
     lanes = _LANES
-    full_ones, full_mask, full_steps = _lane_constants(lanes)
     bias = (1 << 64) - _threshold(p)
     for first in range(start, start + count, lanes):
         size = min(lanes, start + count - first)
-        ones, mask, steps = full_ones, full_mask, full_steps
-        if size < lanes:
-            low = (1 << 128 * size) - 1
-            ones, mask, steps = ones & low, mask & low, steps & low
+        ones, mask, steps = _lane_constants(size)
         x = (((seed + first * GOLDEN_GAMMA) & MASK64) * ones + steps) & mask
         x = (((x ^ (x >> 30)) & mask) * _MIX_MULT_1) & mask
         x = (((x ^ (x >> 27)) & mask) * _MIX_MULT_2) & mask
@@ -165,19 +171,33 @@ def sample_context(params: ModelParams, seed: int) -> FormalContext:
     return FormalContext(*_universe_labels(sides), digits)
 
 
-def _universe_labels(sides: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+@functools.lru_cache(maxsize=1)
+def _labels(n: int) -> tuple[str, ...]:
+    """The universe labels str(1)..str(n), kept for the last n asked for."""
+    return tuple(map(str, range(1, n + 1)))
+
+
+def _universe_labels(sides: str | Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The labels str(i) of the objects (side "1") and of the attributes
-    (side "0") among elements 1..n, each in ascending order."""
-    objects = tuple([str(i) for i, side in enumerate(sides, 1) if side == "1"])
-    attributes = tuple([str(i) for i, side in enumerate(sides, 1) if side == "0"])
+    (side "0") among elements 1..n, each in ascending order; `sides` is a
+    str or a sequence of one-digit strs."""
+    if not isinstance(sides, str):
+        sides = "".join(sides)
+    flags = sides.encode()
+    labels = _labels(len(flags))
+    # Each tuple is built from a list: tuple() of an iterator grows its
+    # result in steps, which fragments the heap over many samples.
+    objects = tuple([*itertools.compress(labels, flags.translate(_OBJECT_FLAGS))])
+    attributes = tuple([*itertools.compress(labels, flags.translate(_ATTRIBUTE_FLAGS))])
     return objects, attributes
 
 
 def _check_universe_labels(ctx: FormalContext, n: int) -> None:
-    """The labels must be str(1)..str(n), each once; the length is checked
-    first, so the set of n labels is built only for a context that size."""
+    """The labels must be str(1)..str(n), each once: n labels among which
+    each of those n appears. The length is checked first, so the labels of
+    a context of another size are never built."""
     labels = ctx.objects + ctx.attributes
-    if len(labels) != n or set(labels) != {str(i) for i in range(1, n + 1)}:
+    if len(labels) != n or not set(labels).issuperset(_labels(n)):
         raise InputError(
             f"context labels must partition 1..{quote(n)}, got {quote(sorted(labels))}"
         )

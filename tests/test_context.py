@@ -485,7 +485,7 @@ def test_intersection_pairs_with_a_zero_width_side(g, m, want):
 
 
 # (density, closed words, their width): both sides of the fold's 1/4 and of
-# the last-zero order's 3/4, with more than context._ORDERED_MIN_WORDS words.
+# the last-zero order's 3/4, on tables of more than context._ORDERED_MIN_CELLS cells.
 _CLOSED_SIDES = [
     (0.05, 40, 44),
     (0.24, 30, 33),
@@ -536,6 +536,16 @@ def test_a_dense_side_is_ordered_against_its_transpose(monkeypatch, tall):
     monkeypatch.setattr(context, "_by_last_zero", lambda *sides: calls.append(sides) or by_last_zero(*sides))
     count_concepts(ctx)
     assert calls == [(ctx._cols, ctx._rows) if tall else (ctx._rows, ctx._cols)]
+
+
+@pytest.mark.parametrize("k, reordered", [(14, False), (15, True)], ids=["196-cells", "225-cells"])
+def test_only_a_table_of_more_than_200_cells_is_reordered(monkeypatch, k, reordered):
+    # Both closed sides have fewer than 16 words: the table's size decides.
+    ctx = _closed_side_context(0.95, k, k, False, 0)
+    calls, by_last_zero = [], context._by_last_zero
+    monkeypatch.setattr(context, "_by_last_zero", lambda *sides: calls.append(sides) or by_last_zero(*sides))
+    assert count_concepts(ctx) == len(enumerate_concepts(ctx, "close-by-one"))
+    assert bool(calls) is reordered
 
 
 # Rows and a width m; the rows carry bits at and above m too.

@@ -5,7 +5,7 @@ line to its exit code, the sha256 of its stdout with the JSON envelope's
 `wall_time_ms` set to 0, and its stderr. The inputs are contranomial(14)
 and four `gen`-made contexts: sparse and wide, dense, with more objects
 than attributes, and sparse with more than 16 words on its closed side
-(so that they are reordered and folded); each is listed in text,
+and more than 200 cells (so that they are reordered and folded); each is listed in text,
 `--json`, `--count-only`, `--json --algo cbo`, and `--algo scan` where it
 has at most 20 objects.
 The `gen` commands are entries too, so the inputs are pinned with the

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -310,6 +311,32 @@ def test_chunks_are_capped_by_the_lane_constant(monkeypatch):
     ones, mask, steps = model._lane_constants(5)
     assert ones.bit_length() == mask.bit_length() - 63 == 128 * 4 + 1
     assert steps.bit_length() <= 128 * 4 + 64
+
+
+def test_lane_constants_kept_per_size_hold_no_threshold():
+    # At one seed and p, q = .5 and .9 draw the same sides, so the second
+    # pair meets every chunk size the first one cached, under another
+    # threshold; a cached value that depended on it would change a draw.
+    for n in range(1, 41):
+        for q in (0.5, 0.9):
+            params = ModelParams(n, 0.5, q)
+            ctx = sample_context(params, 1000 + n)
+            assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, 1000 + n)
+    info = model._lane_constants.cache_info()
+    assert info.hits and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 40])
+def test_universe_labels_match_the_per_element_construction(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        digits = "".join(rng.choice("01") for _ in range(n))
+        want = (
+            tuple(str(i) for i, side in enumerate(digits, 1) if side == "1"),
+            tuple(str(i) for i, side in enumerate(digits, 1) if side == "0"),
+        )
+        assert model._universe_labels(digits) == want
+        assert model._universe_labels(tuple(digits)) == want
 
 
 @pytest.mark.parametrize(
