@@ -15,11 +15,12 @@ A context is built from its row-major incidence digits: the |G|*|M|
 characters '1' (incident) or '0', str or bytes, of the cross table read
 row by row, attribute 0 first; this module alone maps them to bits, and
 refuses any other length or character. ``from_bit_rows`` writes integer
-bit rows as such digits. Incidence is stored once, as integer bit rows
-(plus the bit columns derived from them), so derivation is a word-wise
-AND. A concept likewise holds its two sides as bit masks, and builds their
-index sets on demand. Three traversals are provided, and both listing and
-counting run through each:
+bit rows as such digits. Incidence is stored once, as those digits; each
+side's integer bit words, the rows or the columns, are built from them the
+first time that side is read, and kept, so derivation is a word-wise AND,
+and a count builds only the side it closes. A concept likewise holds its
+two sides as bit masks, and builds their index sets on demand. Three
+traversals are provided, and both listing and counting run through each:
 
 * ``intersection``: the intents are the full attribute set and every
   intersection of object rows (Norris 1978), so closing the rows under
@@ -54,13 +55,16 @@ bound: intersection checks it once per word it closes, and the other two
 have their pair streams stopped where an algorithm's name is looked up.
 
 All types are immutable after construction and safe to share across
-threads; enumeration itself is single-threaded.
+threads. A side is built on first read by functools.cached_property, so
+two threads that read a side not yet built may both build it (Python 3.12
+on; before, its lock lets one build); they get equal words, and the context
+keeps one of them. Enumeration itself is single-threaded.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress, count, islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -113,15 +117,18 @@ class FormalContext(Record):
 
     Labels are carried for presentation and file round-trips only; they
     never affect semantics. Equality is structural over (labels,
-    incidence). The incidence is stored as bit rows (bit j of row i set
-    iff object i has attribute j), with the bit columns derived from them.
+    incidence). The incidence is stored as its validated row-major digits,
+    bytes of b'0' and b'1'. Its bit rows (bit j of row i set iff object i
+    has attribute j) and bit columns are built from the digits the first
+    time each is read, and kept; the repr shows the rows.
     """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
-    _rows: tuple[int, ...]
-    # _cols, the bit columns, is set by __init__ but is no field: it is
-    # derived from _rows, so it is left out of the repr, equality and hash.
+    _digits: bytes
+    # _rows and _cols, the bit words of each side, are no fields: each is
+    # derived from _digits on first use, so both are left out of equality,
+    # hash and pickles.
 
     def __init__(
         self, objects: Sequence[str], attributes: Sequence[str], digits: str | bytes
@@ -143,12 +150,7 @@ class FormalContext(Record):
         if data.translate(None, b"01"):
             k = len(data) - len(data.lstrip(b"01"))
             raise InputError(f"incidence digit {k} is {quote(digits[k : k + 1])}, not '0' or '1'")
-        # Reversed, the digits hold the last row first, each as its numeral.
-        # Column j is every m-th digit from place m - 1 - j: its numeral.
-        data = data[::-1]
-        rows = tuple([int(data[k * m : k * m + m] or b"0", 2) for k in reversed(range(g))])
-        cols = tuple([int(data[m - 1 - j :: m] or b"0", 2) for j in range(m)])
-        self.__dict__.update(objects=objects, attributes=attributes, _rows=rows, _cols=cols)
+        self.__dict__.update(objects=objects, attributes=attributes, _digits=data)
 
     @classmethod
     def from_bit_rows(
@@ -161,6 +163,27 @@ class FormalContext(Record):
             raise InputError(f"bit rows must be a sequence of ints, got {quote(rows)}") from None
         return cls(objects, attributes, _bit_row_digits(rows, len(objects), len(attributes)))
 
+    @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        # Reversed, the digits hold the last row first, each as its numeral.
+        g, m, data = len(self.objects), len(self.attributes), self._digits[::-1]
+        return tuple([int(data[k * m : k * m + m] or b"0", 2) for k in reversed(range(g))])
+
+    @cached_property
+    def _cols(self) -> tuple[int, ...]:
+        # Column j is every m-th reversed digit from place m - 1 - j: its numeral.
+        m, data = len(self.attributes), self._digits[::-1]
+        return tuple([int(data[m - 1 - j :: m] or b"0", 2) for j in range(m)])
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(objects={self.objects!r},"
+            f" attributes={self.attributes!r}, _rows={self._rows!r})"
+        )
+
+    def __getstate__(self) -> dict[str, object]:
+        return dict(zip(self._fields, self._values()))
+
     @property
     def object_count(self) -> int:
         return len(self.objects)
@@ -172,7 +195,7 @@ class FormalContext(Record):
     @property
     def incidence_count(self) -> int:
         """Number of incident (object, attribute) pairs."""
-        return sum(r.bit_count() for r in self._rows)
+        return self._digits.count(b"1")
 
     def _intent_of(self, extent_mask: int) -> int:
         """Attributes shared by every object in the mask (all if empty)."""
@@ -314,7 +337,9 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
     they were taken over the transpose.
 
     The context's rows give its intents. When there are fewer columns than
-    rows, the columns are closed instead, and give its extents. The family
+    rows, the columns are closed instead, and give its extents. The side is
+    picked from the label counts, so only its words are built; the other
+    side's are built only for _by_last_zero, which reads them. The family
     does not depend on the order the words are closed in, but the work
     does, as each word is intersected with every set found so far. So a
     closed side whose table has more than _ORDERED_MIN_CELLS cells is
@@ -328,12 +353,11 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
     MAX_CONCEPTS once per word, so at most about twice the cap is ever
     held; the count a refusal quotes depends on the order.
     """
-    words, full, transposed = ctx._rows, (1 << len(ctx.attributes)) - 1, False
-    if len(ctx._cols) < len(ctx._rows):
-        words, full, transposed = ctx._cols, (1 << len(ctx.objects)) - 1, True
+    g, m = len(ctx.objects), len(ctx.attributes)
+    transposed = m < g
+    words, full = (ctx._cols, (1 << g) - 1) if transposed else (ctx._rows, (1 << m) - 1)
     closed = {full}
-    others = ctx._rows if transposed else ctx._cols
-    cells = len(words) * len(others)
+    cells = g * m
     if cells > _ORDERED_MIN_CELLS:
         density = ctx.incidence_count / cells
         if density < _SPARSE_DENSITY:
@@ -343,7 +367,7 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
                     _refuse_past_cap(len(closed))
             return closed, transposed
         if density > _DENSE_DENSITY:
-            words = _by_last_zero(words, others)
+            words = _by_last_zero(words, ctx._rows if transposed else ctx._cols)
         else:
             words = sorted(words, key=int.bit_count)
     for word in words:
@@ -412,8 +436,11 @@ def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     per pending branch, so its memory grows only with the context's depth.
     Counts nothing: _traversal stops the stream past MAX_CONCEPTS pairs.
     """
-    n_objects = len(ctx.objects)
-    extent = ctx._extent_of((1 << len(ctx.attributes)) - 1)
+    # The words in locals: CPython 3.11 does not specialise a load of a
+    # cached_property's name, so the loop would pay for one per branch.
+    rows, cols, n_objects = ctx._rows, ctx._cols, len(ctx.objects)
+    everyone = (1 << n_objects) - 1
+    extent = _meet(cols, (1 << len(ctx.attributes)) - 1, everyone)
     stack = [(extent, ctx._intent_of(extent), 0)]
     while stack:
         extent, intent, start = stack.pop()
@@ -421,8 +448,8 @@ def _close_by_one(ctx: FormalContext) -> Iterator[tuple[int, int]]:
         for g in range(start, n_objects):
             if extent >> g & 1:
                 continue
-            new_intent = intent & ctx._rows[g]
-            new_extent = ctx._extent_of(new_intent)
+            new_intent = intent & rows[g]
+            new_extent = _meet(cols, new_intent, everyone)
             below = (1 << g) - 1
             if (new_extent & below) == (extent & below):
                 stack.append((new_extent, new_intent, g + 1))
@@ -435,9 +462,11 @@ def _closure_scan(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     stops the stream past MAX_CONCEPTS pairs."""
     n_objects = len(ctx.objects)
     integer(n_objects, "object count", high=MAX_SCAN_OBJECTS, bounded_by="closure-scan")
+    rows, cols = ctx._rows, ctx._cols
+    every, everyone = (1 << len(ctx.attributes)) - 1, (1 << n_objects) - 1
     for extent in range(1 << n_objects):
-        intent = ctx._intent_of(extent)
-        if ctx._extent_of(intent) == extent:
+        intent = _meet(rows, extent, every)
+        if _meet(cols, intent, everyone) == extent:
             yield extent, intent
 
 

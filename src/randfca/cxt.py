@@ -20,15 +20,15 @@ with 'X' for '1' and '.' for '0'; the context module maps them to bits.
 
 from __future__ import annotations
 
-from .context import FormalContext, _bit_row_digits
+from .context import FormalContext
 from .errors import ParseError, SerializationError, quote
 from .record import Record
 
 
-# str.translate tables between incidence characters and binary digits;
+# Translate tables between incidence characters and binary digits;
 # _NOT_A_CROSS deletes both legal characters, so only illegal ones remain.
 _CROSS_TO_BIT = str.maketrans("X.", "10")
-_BIT_TO_CROSS = str.maketrans("10", "X.")
+_BIT_TO_CROSS = bytes.maketrans(b"10", b"X.")
 _NOT_A_CROSS = str.maketrans("", "", "X.")
 
 
@@ -137,7 +137,8 @@ def write_cxt(doc: CxtDocument | FormalContext) -> str:
 
 
 def cross_rows(ctx: FormalContext) -> list[str]:
-    """The incidence rows as text, 'X' for a cross and '.' for none."""
+    """The incidence rows as text, 'X' for a cross and '.' for none,
+    written from the context's digits."""
     m = len(ctx.attributes)
-    crosses = _bit_row_digits(ctx._rows, ctx.object_count, m).translate(_BIT_TO_CROSS)
+    crosses = ctx._digits.translate(_BIT_TO_CROSS).decode("ascii")
     return [crosses[i * m : i * m + m] for i in range(ctx.object_count)]

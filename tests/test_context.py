@@ -573,3 +573,92 @@ def test_columns_are_the_transpose_of_the_rows(rows_and_width):
         read_cxt(write_cxt(CxtDocument(from_bits))).context,
     ):
         assert (ctx._rows, ctx._cols) == (kept, cols)
+
+
+def _eager_sides(ctx: FormalContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bit rows and columns as the constructor once parsed them from
+    the digits, before each side was built on first use: the oracle."""
+    g, m = ctx.object_count, ctx.attribute_count
+    data = ctx._digits[::-1]
+    rows = tuple([int(data[k * m : k * m + m] or b"0", 2) for k in reversed(range(g))])
+    cols = tuple([int(data[m - 1 - j :: m] or b"0", 2) for j in range(m)])
+    return rows, cols
+
+
+def _copy(ctx: FormalContext) -> FormalContext:
+    """An equal context with neither side built."""
+    return FormalContext(ctx.objects, ctx.attributes, ctx._digits)
+
+
+@given(_ROWS_AND_WIDTH, st.booleans())
+@example(([], 5), False)
+@example(([3, 256], 0), True)
+@example(([], 0), False)
+def test_each_side_is_built_on_first_use_as_the_eager_parse(rows_and_width, columns_first):
+    rows, m = rows_and_width
+    objects = tuple(f"g{i}" for i in range(len(rows)))
+    attributes = tuple(f"m{j}" for j in range(m))
+    digits = "".join("1" if r >> j & 1 else "0" for r in rows for j in range(m))
+    for ctx in (
+        FormalContext.from_bit_rows(objects, attributes, rows),
+        FormalContext(objects, attributes, digits),
+    ):
+        assert list(vars(ctx)) == ["objects", "attributes", "_digits"]
+        assert ctx._digits == digits.encode()
+        eager_rows, eager_cols = _eager_sides(ctx)
+        assert ctx.incidence_count == sum(r.bit_count() for r in eager_rows) == digits.count("1")
+        assert "_rows" not in vars(ctx) and "_cols" not in vars(ctx)
+        if columns_first:
+            assert ctx._cols == eager_cols and "_rows" not in vars(ctx)
+        assert ctx._rows == eager_rows
+        assert ctx._cols == eager_cols
+        # Each side is built once and then read from the instance.
+        assert vars(ctx)["_rows"] is ctx._rows and vars(ctx)["_cols"] is ctx._cols
+
+
+@given(contexts(max_objects=10, max_attributes=10))
+@example(build_context(0, 3, []))
+@example(build_context(3, 0, [0, 0, 0]))
+def test_counting_builds_only_the_closed_side(ctx):
+    ctx = _copy(ctx)  # the example's repr may have built its rows
+    count_concepts(ctx)
+    built = {"_rows", "_cols"} & vars(ctx).keys()
+    # At most 100 cells, so no side is reordered against its transpose.
+    assert built == ({"_cols"} if ctx.attribute_count < ctx.object_count else {"_rows"})
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["fewer-objects", "more-objects"])
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.95])
+def test_only_a_dense_table_of_more_than_200_cells_builds_both_sides(density, tall):
+    ctx = _closed_side_context(density, 17, 21, tall, 0)  # 357 cells
+    assert count_concepts(ctx) == len(enumerate_concepts(_copy(ctx), "close-by-one"))
+    built = {"_rows", "_cols"} & vars(ctx).keys()
+    if density > context._DENSE_DENSITY:
+        assert built == {"_rows", "_cols"}
+    else:
+        assert built == ({"_cols"} if tall else {"_rows"})
+
+
+def test_writing_a_context_builds_no_side():
+    ctx = build_context(3, 4, [0b1010, 0b0111, 0])
+    assert cross_rows(ctx) == [".X.X", "XXX.", "...."]
+    assert read_cxt(write_cxt(ctx)).context == ctx
+    assert list(vars(ctx)) == ["objects", "attributes", "_digits"]
+
+
+@given(contexts(), st.sampled_from(["_rows", "_cols"]))
+def test_a_built_side_changes_no_equality_hash_repr_or_pickle(ctx, side):
+    ctx, unbuilt = _copy(ctx), _copy(ctx)
+    pickled = pickle.dumps(ctx)
+    getattr(ctx, side)
+    assert side in vars(ctx) and side not in vars(unbuilt)
+    assert ctx == unbuilt and hash(ctx) == hash(unbuilt)
+    # A pickle carries the fields only, so a copy builds its sides again.
+    assert pickle.dumps(ctx) == pickled
+    copy = pickle.loads(pickled)
+    assert copy == ctx and hash(copy) == hash(ctx)
+    assert list(vars(copy)) == ["objects", "attributes", "_digits"]
+    assert repr(ctx) == repr(unbuilt) == repr(copy)
+    assert repr(ctx) == (
+        f"FormalContext(objects={ctx.objects!r}, attributes={ctx.attributes!r}, _rows={ctx._rows!r})"
+    )

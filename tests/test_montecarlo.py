@@ -16,7 +16,7 @@ from randfca import (
 )
 from randfca import montecarlo
 from randfca.cli import main
-from randfca.model import _master_of
+from randfca.model import _master_of, derive_seed
 
 
 @pytest.fixture
@@ -245,6 +245,35 @@ def test_failures_kill_the_children_still_counting(forks, monkeypatch):
             estimate(ModelParams(6, 0.5, 0.5), 9, 1, workers=3)
         assert time.perf_counter() - started < 10
     assert len(forks) == 4
+
+
+@pytest.mark.parametrize("workers, counted", [(1, 10), (2, 5)])
+def test_each_sample_is_drawn_and_counted_through_the_module_names(forks, monkeypatch, workers, counted):
+    # perfbench/tracing.py times the draw and the count by wrapping the
+    # names randfca.montecarlo.sample_context and count_concepts. At two
+    # workers the caller counts block 0, samples 0 to 4, and a forked child
+    # the rest, out of sight of these wrappers.
+    params, samples, seed = ModelParams(8, 0.5, 0.5), 10, 4
+    serial = estimate(params, samples, seed)
+    drawn, counted_contexts = [], []
+    sample_context, count_concepts = montecarlo.sample_context, montecarlo.count_concepts
+
+    def drawing(*args):
+        ctx = sample_context(*args)
+        drawn.append((args[1], ctx))
+        return ctx
+
+    def counting(ctx):
+        counted_contexts.append(ctx)
+        return count_concepts(ctx)
+
+    monkeypatch.setattr(montecarlo, "sample_context", drawing)
+    monkeypatch.setattr(montecarlo, "count_concepts", counting)
+    assert estimate(params, samples, seed, workers=workers) == serial
+    master = _master_of(seed)
+    assert [seed for seed, _ in drawn] == [derive_seed(master, k) for k in range(counted)]
+    assert len(counted_contexts) == counted
+    assert all(a is b for a, (_, b) in zip(counted_contexts, drawn))
 
 
 def test_reproducible():
