@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import operator
 import os
@@ -82,6 +81,8 @@ def _fmt(x: float) -> str:
 
 def _envelope_json(args: argparse.Namespace, payload: dict, started: float) -> str:
     """The report envelope; its params are the command's options as parsed."""
+    import json  # loaded only by a command that writes JSON
+
     params = {k: v for k, v in vars(args).items() if k not in ("command", "json", "func")}
     envelope = {
         "schema_version": "1",
@@ -98,15 +99,15 @@ def _emit(args: argparse.Namespace, started: float, payload: dict, text: str) ->
     print(_envelope_json(args, payload, started) if args.json else text)
 
 
-# Per listing format (--json or not): how a label is encoded; a nonempty
-# side's opening bracket, separator and closing bracket; an empty side; the
-# text before, between and after a concept's two sides; and the separator
-# between concepts. The JSON entry is json.dumps(indent=2)'s layout at the
-# depth of the payload's "concepts" array.
+# Per listing format (--json or not): a nonempty side's opening bracket,
+# separator and closing bracket; an empty side; the text before, between and
+# after a concept's two sides; and the separator between concepts. The JSON
+# entry is json.dumps(indent=2)'s layout at the depth of the payload's
+# "concepts" array.
 _LISTING_FORMATS = {
-    False: (str, "{", ", ", "}", "{}", "  ", " / ", "", "\n"),
+    False: ("{", ", ", "}", "{}", "  ", " / ", "", "\n"),
     True: (
-        json.dumps, "[\n          ", ",\n          ", "\n        ]", "[]",
+        "[\n          ", ",\n          ", "\n        ]", "[]",
         '      {\n        "extent": ', ',\n        "intent": ', "\n      }", ",\n",
     ),
 }
@@ -121,7 +122,13 @@ def _concept_listing(ctx: FormalContext, concepts: Sequence[Concept], as_json: b
     joined once, on first use, in a byte table; the joined runs of a
     nonempty side then begin with one separator too many.
     """
-    encode, open_, sep, close, empty, before, middle, after, between = _LISTING_FORMATS[as_json]
+    open_, sep, close, empty, before, middle, after, between = _LISTING_FORMATS[as_json]
+    if as_json:
+        import json
+
+        encode = json.dumps
+    else:
+        encode = str
     objects = _byte_tables([sep + encode(label) for label in ctx.objects], operator.add, "")
     attributes = _byte_tables([sep + encode(label) for label in ctx.attributes], operator.add, "")
     get, skip = dict.__getitem__, len(sep)  # a table's __getitem__, which builds a missing entry
@@ -187,6 +194,8 @@ def _cmd_gen(args: argparse.Namespace, started: float) -> None:
     if args.format == "cxt":
         text = write_cxt(CxtDocument(ctx))
     else:
+        import json
+
         document = {
             "objects": list(ctx.objects),
             "attributes": list(ctx.attributes),
@@ -204,6 +213,8 @@ def _cmd_concepts(args: argparse.Namespace, started: float) -> None:
         return
     concepts = enumerate_concepts(ctx, algorithm=args.algo)
     if args.json:
+        import json
+
         # The envelope is encoded around a placeholder, which is then replaced
         # by the listing text. The placeholder is the envelope's last string,
         # so its last occurrence is the one to replace.

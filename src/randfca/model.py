@@ -27,9 +27,19 @@ for all of them. That changes how the words are computed, not which:
 the stream, its order and the Bernoulli rule are as stated above, and
 where a chunk of lanes ends never changes a draw. Each chunk size's lane
 constants depend on that size alone, not on a seed or a threshold, so they
-are built once per process and kept in a bounded memo. The incidence
-digits, in draw order, are the context's row-major digits, which its
-constructor takes as they are.
+are built once per process and kept in a bounded memo; so are each chunk's
+threshold lanes, keyed by its size, its two thresholds and where the first
+ends.
+
+A draw computes its words in one pass or two. When 0 < p < 1 and the
+incidence words it would draw beyond those expected cost less than a second
+pass (see _words_ahead), one pass draws words 1 .. n + floor(n**2 / 4): the
+n side words at p, then at q every incidence word that any split of the
+sides can need; the words past those the split needs are dropped.
+Otherwise the side words come first and the incidence words in a second
+pass, from word n + 1. Either way word k is the same word, so which pass
+computes it never changes a draw. The incidence digits, in draw order, are
+the context's row-major digits, which its constructor takes as they are.
 """
 
 from __future__ import annotations
@@ -56,6 +66,9 @@ MAX_DRAW_N = 5000
 # Words per chunk, at 16 bytes of lane each: this bounds the integers a
 # sampling call works on, whatever the context size.
 _LANES = 1024
+# A sampling pass's fixed cost, counted in the words a pass computes in the
+# same time; set from a grid of measured draw times (see _words_ahead).
+_PASS_COST = 20
 # Byte 8 of a lane (bit 64) is 1 iff its word failed the Bernoulli draw.
 _NEGATED_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 # Side digits (b"1" object) to compress() selectors for each side.
@@ -104,27 +117,56 @@ def _lane_constants(size: int) -> tuple[int, int, int]:
     return ones, ones * MASK64, int.from_bytes(steps, "little")
 
 
-def _bernoulli_digits(seed: int, start: int, count: int, p: float) -> Iterator[bytes]:
-    """Bernoulli(p) outcomes of words start + 1 .. start + count of the
+@functools.lru_cache(maxsize=64)
+def _chunk_constants(
+    size: int, head: int, head_threshold: int, tail_threshold: int
+) -> tuple[int, int, int, int]:
+    """_lane_constants(size), then the threshold lanes of a chunk whose
+    first `head` lanes draw at head_threshold and whose other lanes draw at
+    tail_threshold: 2**64 minus its threshold in each lane.
+
+    A draw at a fixed (n, p, q) meets the same few keys again and again, so
+    each is built once and kept in a bounded memo. An entry holds at most
+    64 KB, at 1024 lanes: 16 KB of threshold lanes, and the lane constants.
+    """
+    ones, mask, steps = _lane_constants(size)
+    head_ones = ones & ((1 << 128 * head) - 1)
+    tail_ones = ones - head_ones
+    biases = ((1 << 64) - head_threshold) * head_ones + ((1 << 64) - tail_threshold) * tail_ones
+    return ones, mask, steps, biases
+
+
+def _bernoulli_digits(
+    seed: int, start: int, count: int, p: float, q: float | None = None, split: int | None = None
+) -> Iterator[bytes]:
+    """Bernoulli outcomes of words start + 1 .. start + count of the
     stream, word k being mix64(seed + k * GOLDEN_GAMMA), as ASCII digits
-    (b"1" true) in chunks of at most _LANES words.
+    (b"1" true) in chunks of at most _LANES words: Bernoulli(p) for the
+    first `split` words (all of them by default) and Bernoulli(q) after.
 
     Each step of mix64 runs on all lanes of a chunk at once. The mask keeps
     each lane's value in its low 64 bits before every product, so a product
     by a 64-bit multiplier never reaches the next lane. Adding 2**64 - T
-    then sets bit 64 of a lane iff its word is not below the threshold T.
+    then sets bit 64 of a lane iff its word is not below its threshold T.
     """
     lanes = _LANES
-    bias = (1 << 64) - _threshold(p)
-    for first in range(start, start + count, lanes):
-        size = min(lanes, start + count - first)
-        ones, mask, steps = _lane_constants(size)
+    end = start + count
+    edge = end if split is None else start + split
+    head_threshold = _threshold(p)
+    tail_threshold = head_threshold if q is None else _threshold(q)
+    for first in range(start, end, lanes):
+        # Conditional expressions, not min() and max(): they cost less at
+        # the few lanes of a small draw.
+        size = end - first if end - first < lanes else lanes
+        head = edge - first
+        head = 0 if head < 0 else size if head > size else head
+        ones, mask, steps, biases = _chunk_constants(size, head, head_threshold, tail_threshold)
         x = (((seed + first * GOLDEN_GAMMA) & MASK64) * ones + steps) & mask
         x = (((x ^ (x >> 30)) & mask) * _MIX_MULT_1) & mask
         x = (((x ^ (x >> 27)) & mask) * _MIX_MULT_2) & mask
         # Bits 64..96 of each lane are clear here, so bit 64 of the sum is
         # the carry out of the lane's 64-bit value.
-        x = (x ^ (x >> 31)) + bias * ones
+        x = (x ^ (x >> 31)) + biases
         yield x.to_bytes(16 * size, "little")[8::16].translate(_NEGATED_DIGITS)
 
 
@@ -149,16 +191,38 @@ class ModelParams(Record):
             self.__dict__[name] = x
 
 
+@functools.lru_cache(maxsize=16)
+def _words_ahead(n: int, p: float) -> int:
+    """How many incidence words a draw takes in the sides' pass: all that
+    any split can need, floor(n**2 / 4), or none.
+
+    Drawing them all costs the words beyond the expected n(n - 1)p(1 - p);
+    it saves the second pass, which is needed unless every element falls
+    on one side, with probability 1 - p**n - (1 - p)**n. So they are drawn
+    when the extra words cost less than that share of one pass's fixed
+    cost, _PASS_COST: never at p = 0 or 1, where that share is 0.
+    """
+    most = n * n // 4
+    extra = most - n * (n - 1) * p * (1.0 - p)
+    return most if extra < _PASS_COST * (1.0 - p**n - (1.0 - p) ** n) else 0
+
+
 def _draw(params: ModelParams, seed: int) -> tuple[str, bytes]:
     """The side digits of elements 1..n ("1" object) and the row-major
     incidence digits of the objects against the attributes they leave;
     n is bounded by MAX_DRAW_N, checked before any draw."""
     master = _master_of(seed)
     n = integer(params.n, "n", high=MAX_DRAW_N, bounded_by="drawing a context")
-    sides = b"".join(_bernoulli_digits(master, 0, n, params.p)).decode()
+    ahead = _words_ahead(n, params.p)
+    words = b"".join(_bernoulli_digits(master, 0, n + ahead, params.p, params.q, n))
+    sides = words[:n].decode()
     g = sides.count("1")
-    # The incidence words follow, one per pair in row-major order.
-    return sides, b"".join(_bernoulli_digits(master, n, g * (n - g), params.q))
+    need = g * (n - g)
+    # The incidence words follow, one per pair in row-major order: drawn
+    # with the sides, or else in a pass of their own.
+    if need <= ahead:
+        return sides, words[n : n + need]
+    return sides, b"".join(_bernoulli_digits(master, n, need, params.q))
 
 
 def sample_context(params: ModelParams, seed: int) -> FormalContext:

@@ -262,7 +262,8 @@ def test_import_leaves_the_process_pool_unloaded():
     # loads are already there before the import, so they drop out. With
     # `mc`'s modules loaded too, the runtime is still the standard library:
     # every added module is randfca's own, built in, or under stdlib but not
-    # in site-packages (which may lie inside it).
+    # in site-packages (which may lie inside it). Start-up loads no json
+    # either: only a command that writes JSON loads it.
     code = textwrap.dedent(
         """\
         import os, sys, sysconfig
@@ -304,7 +305,7 @@ def test_import_leaves_the_process_pool_unloaded():
     assert "randfca.cli" in at_import
     unwanted = (
         "concurrent", "multiprocessing", "pickle", "statistics", "dataclasses", "inspect",
-        "fractions", "decimal",
+        "fractions", "decimal", "json",
     )
     assert [name for name in at_import if name.split(".")[0] in unwanted] == []
     assert "pickle" in with_mc

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randfca import model
@@ -364,3 +364,82 @@ def test_draw_size_is_bounded_before_any_draw(monkeypatch):
     monkeypatch.setattr(model, "_bernoulli_digits", boom)
     with pytest.raises(SizeError, match="n <= 5000, got 5001"):
         sample_context(ModelParams(5001, 0.5, 0.5), 1)
+
+
+def _one_pass(n, p):
+    return model._words_ahead(n, p) > 0
+
+
+def _one_pass_band(n):
+    """The probabilities p at which a draw at n (2 <= n < 80) takes one
+    pass: an interval about 1/2, which the rule is symmetric about; its
+    lower end found by bisection."""
+    lo, hi = 0.0, 0.5
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _one_pass(n, mid) else (mid, hi)
+    return hi, 1.0 - hi
+
+
+_ONE_PASS = st.integers(2, 79).flatmap(lambda n: st.tuples(st.just(n), st.floats(*_one_pass_band(n))))
+_ANY = st.tuples(st.integers(1, 100), _PROBABILITIES)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 7, model._LANES])
+@pytest.mark.parametrize("one_pass", [True, False], ids=["one-pass", "two-pass"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=_PROBABILITIES, seed=st.integers(0, 2**64 - 1))
+def test_draws_on_both_sides_of_the_pass_rule_match_the_per_word_oracle(lanes, one_pass, data, q, seed):
+    # A one-pass draw computes words 1 .. n + n**2 // 4 and drops those past
+    # the split's need; a two-pass draw computes the sides, then the
+    # incidence words. Small chunks put chunk edges at the join between the
+    # two and among the dropped words; none of them may change a draw.
+    n, p = data.draw(_ONE_PASS if one_pass else _ANY)
+    assume(_one_pass(n, p) == one_pass)
+    params = ModelParams(n, p, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_LANES", lanes)
+        ctx = sample_context(params, seed)
+    assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, seed)
+
+
+@pytest.mark.parametrize(
+    "n,p,ahead",
+    [
+        (1, 0.5, 0),  # one element: no split has an incidence pair
+        (2, 0.5, 1),
+        (20, 0.5, 100),  # the benchmark's points draw in one pass
+        (40, 0.5, 400),
+        (70, 0.5, 1225),  # 1295 words: the pass spans a chunk edge
+        (20, 0.05, 0),  # sparse sides: most of n**2 / 4 would be dropped
+        (40, 0.1, 0),
+        (90, 0.5, 0),  # 2025 words for an expected 2002.5
+        (500, 0.5, 0),
+        (20, 0.0, 0),  # one side only: no incidence word is ever needed
+        (20, 1.0, 0),
+    ],
+)
+def test_the_pass_rule(n, p, ahead):
+    assert model._words_ahead(n, p) == ahead
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5000), p=_PROBABILITIES)
+def test_a_draw_takes_every_incidence_word_ahead_or_none(n, p):
+    assert model._words_ahead(n, p) in (0, n * n // 4)
+
+
+def test_the_chunk_constant_memo_stays_within_its_maxsize():
+    # More distinct keys than the memo holds: chunk sizes 1..99, each split
+    # at its middle, at two threshold pairs. Entries are evicted, and a
+    # draw after that still matches the oracle.
+    maxsize = model._chunk_constants.cache_info().maxsize
+    for count in range(1, 100):
+        for q in (0.25, 0.75):
+            digits = b"".join(model._bernoulli_digits(count, 0, count, 0.5, q, count // 2))
+            assert len(digits) == count
+    info = model._chunk_constants.cache_info()
+    assert info.misses > maxsize and info.currsize <= maxsize
+    params = ModelParams(30, 0.5, 0.5)
+    ctx = sample_context(params, 3)
+    assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, 3)

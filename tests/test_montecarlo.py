@@ -1,7 +1,9 @@
+import math
 import os
 import pickle
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +13,11 @@ from randfca import (
     ModelParams,
     SizeError,
     compare_with_exact,
+    count_concepts,
+    enumerate_sample_space,
     estimate,
     expected_concepts,
+    expected_concepts_exact,
 )
 from randfca import montecarlo
 from randfca.cli import main
@@ -70,6 +75,48 @@ def test_estimates_track_the_exact_value():
     assert abs(result.mean - exact) <= 5 * result.stderr
     assert result.min_count >= 1
     assert result.ci95_low <= result.mean <= result.ci95_high
+
+
+def _exact_moments(n, p, q):
+    """(E[C], E[C**2]) of the concept count C over every context on
+    {1, ..., n}, each weighted by its exact probability: the brute-force
+    oracle of the count's second moment, for n <= 5 and p, q anything
+    Fraction() reads."""
+    p, q = Fraction(p), Fraction(q)
+    first = second = Fraction(0)
+    for ctx in enumerate_sample_space(n):
+        g, m, crosses = ctx.object_count, ctx.attribute_count, ctx.incidence_count
+        weight = p**g * (1 - p) ** m * q**crosses * (1 - q) ** (g * m - crosses)
+        count = count_concepts(ctx)
+        first += weight * count
+        second += weight * count * count
+    return first, second
+
+
+def test_the_second_moment_oracle():
+    # n = 2: one object and one attribute (probability 2p(1 - p)) without
+    # their cross (1 - q) give two concepts; every other context gives one.
+    assert _exact_moments(2, "1/2", "1/2") == (Fraction(5, 4), Fraction(7, 4))
+    assert _exact_moments(1, "1/3", "2/5") == (1, 1)
+    for n in range(1, 6):
+        for p, q in (("1/2", "1/2"), ("1/3", "2/5"), ("4/5", "1/7")):
+            first, second = _exact_moments(n, p, q)
+            assert first == expected_concepts_exact(n, p, q)
+            assert second >= first**2
+
+
+@pytest.mark.parametrize("p,q,seed", [(0.5, 0.5, 1), (1 / 3, 0.4, 2), (0.8, 1 / 7, 3)])
+def test_estimates_track_the_exact_value_in_exact_sigmas(p, q, seed):
+    # The bound is K exact standard deviations of the mean, sigma / sqrt(N),
+    # with sigma from the exact second moment rather than from the sample.
+    # By the central limit theorem a correct sampler exceeds it with
+    # probability P(|Z| > 4) = 6.3e-5 per point, so about 1.9e-4 for the
+    # three points; the seeds are fixed, so a pass stays a pass.
+    k, samples = 4, 10000
+    first, second = _exact_moments(5, p, q)  # p and q as the model reads them
+    sigma = math.sqrt(second - first**2)
+    result = estimate(ModelParams(5, p, q), samples, seed)
+    assert abs(result.mean - float(first)) <= k * sigma / math.sqrt(samples)
 
 
 def test_worker_count_does_not_change_results():
