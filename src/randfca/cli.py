@@ -189,7 +189,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 def _cmd_gen(args: argparse.Namespace, started: float) -> None:
     sides, digits = _draw(ModelParams(args.n, args.p, args.q), args.seed)
-    g = sides.count("1")
+    g = sides.count(b"1")
     ctx = FormalContext(*_default_labels(g, len(sides) - g), digits)
     if args.format == "cxt":
         text = write_cxt(CxtDocument(ctx))

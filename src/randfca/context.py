@@ -358,21 +358,17 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
     words, full = (ctx._cols, (1 << g) - 1) if transposed else (ctx._rows, (1 << m) - 1)
     closed = {full}
     cells = g * m
+    fold = False
     if cells > _ORDERED_MIN_CELLS:
         density = ctx.incidence_count / cells
-        if density < _SPARSE_DENSITY:
-            for word in sorted(words, key=int.bit_count):
-                closed |= {c & word for c in closed}
-                if len(closed) > MAX_CONCEPTS:
-                    _refuse_past_cap(len(closed))
-            return closed, transposed
+        fold = density < _SPARSE_DENSITY
         if density > _DENSE_DENSITY:
             words = _by_last_zero(words, ctx._rows if transposed else ctx._cols)
         else:
             words = sorted(words, key=int.bit_count)
     for word in words:
-        # The list is complete before the set grows.
-        closed.update([c & word for c in closed])
+        # The new sets are all formed before the family grows.
+        closed.update({c & word for c in closed} if fold else [c & word for c in closed])
         if len(closed) > MAX_CONCEPTS:
             _refuse_past_cap(len(closed))
     return closed, transposed

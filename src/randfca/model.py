@@ -25,11 +25,12 @@ The sampler computes the words up to _LANES at a time, one per 128-bit lane
 of a Python integer, so each step of mix64 is one big-integer operation
 for all of them. That changes how the words are computed, not which:
 the stream, its order and the Bernoulli rule are as stated above, and
-where a chunk of lanes ends never changes a draw. Each chunk size's lane
-constants depend on that size alone, not on a seed or a threshold, so they
-are built once per process and kept in a bounded memo; so are each chunk's
-threshold lanes, keyed by its size, its two thresholds and where the first
-ends.
+where a chunk of lanes ends never changes a draw. A word's threshold
+follows from its place in the stream: word k <= n is a side word, drawn at
+p, and every later word an incidence word, drawn at q. So a chunk's
+constants, its lane constants and threshold lanes, depend on its size, the
+number of side words it holds and (p, q) alone, not on a seed; each is
+built once per process and kept in one bounded memo under that key.
 
 A draw computes its words in one pass or two. When 0 < p < 1 and the
 incidence words it would draw beyond those expected cost less than a second
@@ -47,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .context import FormalContext
 from .errors import InputError, integer, quote
@@ -96,78 +97,57 @@ def derive_seed(master: int, index: int) -> int:
     return mix64((m + GOLDEN_GAMMA * (index + 1)) & MASK64)
 
 
-def _threshold(p: float) -> int:
-    # P(word < threshold) = p up to 1 ulp of p; exact at 0, 1 and dyadics.
-    return int(p * 18446744073709551616.0)
-
-
 @functools.lru_cache(maxsize=64)
-def _lane_constants(size: int) -> tuple[int, int, int]:
-    """(ones, mask, steps) over `size` 128-bit lanes: lane i holds 1,
-    2**64 - 1 and (i + 1) * GOLDEN_GAMMA mod 2**64 respectively.
+def _chunk_constants(size: int, head: int, p: float, q: float) -> tuple[int, int, int, int]:
+    """(ones, mask, steps, biases) over `size` 128-bit lanes, of a chunk
+    whose first `head` words draw at p and whose others draw at q: lane i
+    holds 1, 2**64 - 1, (i + 1) * GOLDEN_GAMMA mod 2**64 and 2**64 - T
+    respectively, T being int(t * 2**64) for the lane's probability t.
+    P(word < T) = t up to 1 ulp of t; exact at 0, 1 and dyadics.
 
-    They depend on the chunk size alone, so each size's constants are built
-    once per process and kept in a bounded memo. The benchmark's mc points
-    meet about 20 sizes; an entry is at most 48 KB, at 1024 lanes.
+    A draw at a fixed (n, p, q) meets the same few keys again and again, so
+    each is built once per process and kept in a bounded memo. The
+    benchmark's mc points meet three; an entry holds at most 64 KB, at
+    1024 lanes.
     """
     ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * size, "little")
     steps = b"".join(
         (k * GOLDEN_GAMMA & MASK64).to_bytes(16, "little") for k in range(1, size + 1)
     )
-    return ones, ones * MASK64, int.from_bytes(steps, "little")
-
-
-@functools.lru_cache(maxsize=64)
-def _chunk_constants(
-    size: int, head: int, head_threshold: int, tail_threshold: int
-) -> tuple[int, int, int, int]:
-    """_lane_constants(size), then the threshold lanes of a chunk whose
-    first `head` lanes draw at head_threshold and whose other lanes draw at
-    tail_threshold: 2**64 minus its threshold in each lane.
-
-    A draw at a fixed (n, p, q) meets the same few keys again and again, so
-    each is built once and kept in a bounded memo. An entry holds at most
-    64 KB, at 1024 lanes: 16 KB of threshold lanes, and the lane constants.
-    """
-    ones, mask, steps = _lane_constants(size)
     head_ones = ones & ((1 << 128 * head) - 1)
-    tail_ones = ones - head_ones
-    biases = ((1 << 64) - head_threshold) * head_ones + ((1 << 64) - tail_threshold) * tail_ones
-    return ones, mask, steps, biases
+    biases = (ones << 64) - int(p * 2.0**64) * head_ones - int(q * 2.0**64) * (ones - head_ones)
+    return ones, ones * MASK64, int.from_bytes(steps, "little"), biases
 
 
-def _bernoulli_digits(
-    seed: int, start: int, count: int, p: float, q: float | None = None, split: int | None = None
-) -> Iterator[bytes]:
+def _bernoulli_digits(params: ModelParams, seed: int, start: int, count: int) -> bytes:
     """Bernoulli outcomes of words start + 1 .. start + count of the
     stream, word k being mix64(seed + k * GOLDEN_GAMMA), as ASCII digits
-    (b"1" true) in chunks of at most _LANES words: Bernoulli(p) for the
-    first `split` words (all of them by default) and Bernoulli(q) after.
+    (b"1" true): Bernoulli(p) for the side words, k <= n, and Bernoulli(q)
+    for every later word. They are computed in chunks of at most _LANES
+    words.
 
     Each step of mix64 runs on all lanes of a chunk at once. The mask keeps
     each lane's value in its low 64 bits before every product, so a product
     by a 64-bit multiplier never reaches the next lane. Adding 2**64 - T
     then sets bit 64 of a lane iff its word is not below its threshold T.
     """
-    lanes = _LANES
+    lanes, n, p, q = _LANES, params.n, params.p, params.q
     end = start + count
-    edge = end if split is None else start + split
-    head_threshold = _threshold(p)
-    tail_threshold = head_threshold if q is None else _threshold(q)
+    chunks = []
     for first in range(start, end, lanes):
         # Conditional expressions, not min() and max(): they cost less at
         # the few lanes of a small draw.
         size = end - first if end - first < lanes else lanes
-        head = edge - first
-        head = 0 if head < 0 else size if head > size else head
-        ones, mask, steps, biases = _chunk_constants(size, head, head_threshold, tail_threshold)
+        head = 0 if first >= n else n - first if n - first < size else size
+        ones, mask, steps, biases = _chunk_constants(size, head, p, q)
         x = (((seed + first * GOLDEN_GAMMA) & MASK64) * ones + steps) & mask
         x = (((x ^ (x >> 30)) & mask) * _MIX_MULT_1) & mask
         x = (((x ^ (x >> 27)) & mask) * _MIX_MULT_2) & mask
         # Bits 64..96 of each lane are clear here, so bit 64 of the sum is
         # the carry out of the lane's 64-bit value.
         x = (x ^ (x >> 31)) + biases
-        yield x.to_bytes(16 * size, "little")[8::16].translate(_NEGATED_DIGITS)
+        chunks.append(x.to_bytes(16 * size, "little")[8::16])
+    return b"".join(chunks).translate(_NEGATED_DIGITS)
 
 
 class ModelParams(Record):
@@ -207,22 +187,22 @@ def _words_ahead(n: int, p: float) -> int:
     return most if extra < _PASS_COST * (1.0 - p**n - (1.0 - p) ** n) else 0
 
 
-def _draw(params: ModelParams, seed: int) -> tuple[str, bytes]:
-    """The side digits of elements 1..n ("1" object) and the row-major
+def _draw(params: ModelParams, seed: int) -> tuple[bytes, bytes]:
+    """The side digits of elements 1..n (b"1" object) and the row-major
     incidence digits of the objects against the attributes they leave;
     n is bounded by MAX_DRAW_N, checked before any draw."""
     master = _master_of(seed)
     n = integer(params.n, "n", high=MAX_DRAW_N, bounded_by="drawing a context")
     ahead = _words_ahead(n, params.p)
-    words = b"".join(_bernoulli_digits(master, 0, n + ahead, params.p, params.q, n))
-    sides = words[:n].decode()
-    g = sides.count("1")
+    words = _bernoulli_digits(params, master, 0, n + ahead)
+    sides = words[:n]
+    g = sides.count(b"1")
     need = g * (n - g)
     # The incidence words follow, one per pair in row-major order: drawn
     # with the sides, or else in a pass of their own.
     if need <= ahead:
         return sides, words[n : n + need]
-    return sides, b"".join(_bernoulli_digits(master, n, need, params.q))
+    return sides, _bernoulli_digits(params, master, n, need)
 
 
 def sample_context(params: ModelParams, seed: int) -> FormalContext:
@@ -241,18 +221,14 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(1, n + 1)))
 
 
-def _universe_labels(sides: str | Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The labels str(i) of the objects (side "1") and of the attributes
-    (side "0") among elements 1..n, each in ascending order; `sides` is a
-    str or a sequence of one-digit strs."""
-    if not isinstance(sides, str):
-        sides = "".join(sides)
-    flags = sides.encode()
-    labels = _labels(len(flags))
+def _universe_labels(sides: bytes) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The labels str(i) of the objects (side b"1") and of the attributes
+    (side b"0") among elements 1..n, each in ascending order."""
+    labels = _labels(len(sides))
     # Each tuple is built from a list: tuple() of an iterator grows its
     # result in steps, which fragments the heap over many samples.
-    objects = tuple([*itertools.compress(labels, flags.translate(_OBJECT_FLAGS))])
-    attributes = tuple([*itertools.compress(labels, flags.translate(_ATTRIBUTE_FLAGS))])
+    objects = tuple([*itertools.compress(labels, sides.translate(_OBJECT_FLAGS))])
+    attributes = tuple([*itertools.compress(labels, sides.translate(_ATTRIBUTE_FLAGS))])
     return objects, attributes
 
 
@@ -301,8 +277,8 @@ def enumerate_sample_space(n: int) -> Iterator[FormalContext]:
     n = integer(n, "n", low=1, high=MAX_SAMPLE_SPACE_N, bounded_by="sample space enumeration")
 
     def generate() -> Iterator[FormalContext]:
-        for sides in itertools.product("10", repeat=n):
-            objects, attributes = _universe_labels(sides)
+        for sides in itertools.product(b"10", repeat=n):
+            objects, attributes = _universe_labels(bytes(sides))
             for digits in itertools.product("10", repeat=len(objects) * len(attributes)):
                 yield FormalContext(objects, attributes, "".join(digits))
 

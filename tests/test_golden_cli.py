@@ -7,8 +7,8 @@ golden_concepts.json does for `concepts`. It has two parts:
 
 * "help": the `--help` of the parser and of each of the six commands, at
   80 columns. argparse lays help out differently from one Python version
-  to the next, so this part is kept per version ("3.11"), and a version
-  with no entry skips it.
+  to the next, so this part is kept per version ("3.10", "3.11"), and a
+  version with no entry skips it.
 * "refusals": inputs that the commands refuse, at least one per command,
   each with exit code 1 and its one-line message. A line "a | b" runs b
   on a's output, as a shell pipe does; the last one pipes a context with
@@ -16,11 +16,14 @@ golden_concepts.json does for `concepts`. It has two parts:
 
 A change that alters an output regenerates the manifest with
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+    PYTHONPATH=src python tests/test_golden_cli.py [PYTHON ...]
 
-which rewrites the running version's help entries and the refusals and
-keeps every other version's help entries; it names every changed entry,
-and why it changed, in CHANGES.md.
+which rewrites the running version's help entries and the refusals, and
+the help entries of each other interpreter PYTHON named (for example
+python3.10), and keeps every other version's help entries. Another
+interpreter runs each help line as `PYTHON -m randfca` in a subprocess,
+so it needs no pytest. The change names every changed entry, and why it
+changed, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -40,6 +44,7 @@ import pytest
 from randfca.cli import main
 
 MANIFEST = Path(__file__).with_name("golden_cli.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 HELP = ["--help"] + [
@@ -87,6 +92,23 @@ def _run(line: str) -> dict:
     }
 
 
+def _help_in(python: str) -> tuple[str, dict[str, dict]]:
+    """The version of interpreter `python` and its help entries, each line
+    run as `python -m randfca` in a subprocess at 80 columns."""
+    env = dict(os.environ, COLUMNS="80", PYTHONIOENCODING="utf-8", PYTHONPATH=str(SRC))
+    version = "import sys; print('%d.%d' % sys.version_info[:2])"
+    entries = {}
+    for line in HELP:
+        done = subprocess.run([python, "-m", "randfca", *line.split()], capture_output=True, env=env)
+        entries[line] = {
+            "exit": done.returncode,
+            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
+            "stderr": done.stderr.decode("utf-8"),
+        }
+    done = subprocess.run([python, "-c", version], capture_output=True, env=env, check=True)
+    return done.stdout.decode().strip(), entries
+
+
 @functools.cache
 def _manifest() -> dict[str, dict]:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
@@ -105,6 +127,12 @@ def test_help_matches_the_manifest(line):
     assert _run(line) == _manifest()["help"][VERSION][line]
 
 
+def test_help_in_a_subprocess_matches_the_in_process_run():
+    # The generator writes another interpreter's entries through _help_in;
+    # in this interpreter it gives what _run gives.
+    assert _help_in(sys.executable) == (VERSION, {line: _run(line) for line in HELP})
+
+
 @pytest.mark.parametrize("line", REFUSALS)
 def test_refusal_matches_the_manifest(line):
     outcome = _run(line)
@@ -115,6 +143,7 @@ def test_refusal_matches_the_manifest(line):
 if __name__ == "__main__":
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {"help": {}}
     manifest["help"][VERSION] = {line: _run(line) for line in HELP}
+    manifest["help"].update(_help_in(python) for python in sys.argv[1:])
     manifest["help"] = dict(sorted(manifest["help"].items()))
     manifest["refusals"] = {line: _run(line) for line in REFUSALS}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -304,39 +304,60 @@ def test_packed_sampler_matches_the_per_word_oracle(lanes, n, p, q, seed):
     assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, seed)
 
 
+def _per_word_digits(params, seed, start, count):
+    """The digits of words start + 1 .. start + count, word by word, kept as
+    an oracle: word k is mix64(seed + k * gamma), drawn at p for k <= n and
+    at q after."""
+    thresholds = int(params.p * 2.0**64), int(params.q * 2.0**64)
+    return bytes(
+        b"01"[mix64(seed + k * 0x9E3779B97F4A7C15) < thresholds[k > params.n]]
+        for k in range(start + 1, start + count + 1)
+    )
+
+
 def test_chunks_are_capped_by_the_lane_constant(monkeypatch):
+    # Words 4..15 of a draw at n = 6: the first chunk holds the last three
+    # side words, the others none.
+    keys = []
+    chunk_constants = model._chunk_constants
     monkeypatch.setattr(model, "_LANES", 5)
-    chunks = list(model._bernoulli_digits(12345, 3, 12, 0.5))
-    assert [len(c) for c in chunks] == [5, 5, 2]
-    ones, mask, steps = model._lane_constants(5)
+    monkeypatch.setattr(model, "_chunk_constants", lambda *key: keys.append(key) or chunk_constants(*key))
+    params = ModelParams(6, 0.5, 0.25)
+    digits = model._bernoulli_digits(params, 12345, 3, 12)
+    assert keys == [(5, 3, 0.5, 0.25), (5, 0, 0.5, 0.25), (2, 0, 0.5, 0.25)]
+    assert digits == _per_word_digits(params, 12345, 3, 12)
+    ones, mask, steps, biases = chunk_constants(5, 3, 0.5, 0.25)
     assert ones.bit_length() == mask.bit_length() - 63 == 128 * 4 + 1
     assert steps.bit_length() <= 128 * 4 + 64
+    assert biases.bit_length() <= 128 * 4 + 64
 
 
-def test_lane_constants_kept_per_size_hold_no_threshold():
-    # At one seed and p, q = .5 and .9 draw the same sides, so the second
-    # pair meets every chunk size the first one cached, under another
-    # threshold; a cached value that depended on it would change a draw.
+def test_chunk_constants_are_kept_per_threshold_pair():
+    # At one seed, p = .5 and q = .5 or .9 draw the same sides, so the
+    # second q meets every chunk size and head the first one cached, under
+    # another threshold; an entry served across thresholds would change a
+    # draw. The second seed meets each key again.
+    hits = model._chunk_constants.cache_info().hits
     for n in range(1, 41):
         for q in (0.5, 0.9):
             params = ModelParams(n, 0.5, q)
-            ctx = sample_context(params, 1000 + n)
-            assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, 1000 + n)
-    info = model._lane_constants.cache_info()
-    assert info.hits and info.currsize <= info.maxsize
+            for seed in (1000 + n, 2000 + n):
+                ctx = sample_context(params, seed)
+                assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, seed)
+    info = model._chunk_constants.cache_info()
+    assert info.hits > hits and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 40])
 def test_universe_labels_match_the_per_element_construction(n):
     rng = random.Random(n)
     for _ in range(20):
-        digits = "".join(rng.choice("01") for _ in range(n))
+        sides = bytes(rng.choice(b"01") for _ in range(n))
         want = (
-            tuple(str(i) for i, side in enumerate(digits, 1) if side == "1"),
-            tuple(str(i) for i, side in enumerate(digits, 1) if side == "0"),
+            tuple(str(i) for i, side in enumerate(sides, 1) if side == ord("1")),
+            tuple(str(i) for i, side in enumerate(sides, 1) if side == ord("0")),
         )
-        assert model._universe_labels(digits) == want
-        assert model._universe_labels(tuple(digits)) == want
+        assert model._universe_labels(sides) == want
 
 
 @pytest.mark.parametrize(
@@ -430,16 +451,35 @@ def test_a_draw_takes_every_incidence_word_ahead_or_none(n, p):
 
 
 def test_the_chunk_constant_memo_stays_within_its_maxsize():
-    # More distinct keys than the memo holds: chunk sizes 1..99, each split
-    # at its middle, at two threshold pairs. Entries are evicted, and a
-    # draw after that still matches the oracle.
-    maxsize = model._chunk_constants.cache_info().maxsize
+    # More distinct keys than the memo holds: chunk sizes 1..99, each
+    # starting at the middle of the side words, at two threshold pairs.
+    # Entries are evicted, and a draw after that still matches the oracle.
+    before = model._chunk_constants.cache_info()
     for count in range(1, 100):
         for q in (0.25, 0.75):
-            digits = b"".join(model._bernoulli_digits(count, 0, count, 0.5, q, count // 2))
-            assert len(digits) == count
+            params = ModelParams(count, 0.5, q)
+            digits = model._bernoulli_digits(params, count, count // 2, count)
+            assert digits == _per_word_digits(params, count, count // 2, count)
     info = model._chunk_constants.cache_info()
-    assert info.misses > maxsize and info.currsize <= maxsize
+    assert info.misses - before.misses > info.maxsize and info.currsize <= info.maxsize
     params = ModelParams(30, 0.5, 0.5)
     ctx = sample_context(params, 3)
     assert (ctx.objects, ctx.attributes, ctx._rows, ctx._cols) == _per_word_sample(params, 3)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 7, model._LANES])
+@pytest.mark.parametrize("where", ["before", "at", "after"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60), p=_PROBABILITIES, q=_PROBABILITIES, seed=st.integers(0, 2**64 - 1))
+def test_a_word_draws_at_the_probability_its_place_gives(lanes, where, data, n, p, q, seed):
+    # A window of words that starts among the side words, at the last of
+    # them or past them, whatever the chunk edges: words up to n draw at p,
+    # every later word at q.
+    starts = {"before": st.integers(0, n - 1), "at": st.just(n), "after": st.integers(n + 1, 3 * n)}
+    start = data.draw(starts[where])
+    count = data.draw(st.integers(0, 2 * n + 20))
+    params = ModelParams(n, p, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_LANES", lanes)
+        digits = model._bernoulli_digits(params, seed, start, count)
+    assert digits == _per_word_digits(params, seed, start, count)
