@@ -40,7 +40,15 @@ traversals are provided, and both listing and counting run through each:
   each byte value's set bits, built on first use, so a set takes one
   lookup per byte of its mask. A set with no more bits than its mask has
   bytes takes one AND per bit instead, the cheaper way for it; counting
-  derives nothing.
+  derives nothing. A count on a table of more than 200 cells and density
+  above 3/4 first splits the graph of its missing crosses into connected
+  components: the context is the direct sum of the subcontexts on them,
+  whose concept lattice is the direct product of theirs (Ganter & Wille
+  1999), so with two or more components the count is the product of
+  theirs. A component with one object or one attribute has 2 concepts, and
+  any other is closed on its own words. With one component, or once the
+  product passes the cap below, the whole side is closed instead, so a
+  refusal quotes the same number.
 * ``close-by-one``: canonical depth-first generation over an explicit
   stack, so no context depth meets Python's recursion limit; each closed
   extent is produced exactly once. Its memory grows only with the depth
@@ -151,6 +159,17 @@ class FormalContext(Record):
             k = len(data) - len(data.lstrip(b"01"))
             raise InputError(f"incidence digit {k} is {quote(digits[k : k + 1])}, not '0' or '1'")
         self.__dict__.update(objects=objects, attributes=attributes, _digits=data)
+
+    @classmethod
+    def _from_fields(
+        cls, objects: tuple[str, ...], attributes: tuple[str, ...], digits: bytes
+    ) -> "FormalContext":
+        """A context of fields taken as they are, unchecked: tuples of
+        pairwise distinct labels and len(objects) * len(attributes) bytes,
+        each b'0' or b'1', as the sampler draws them."""
+        ctx = cls.__new__(cls)
+        ctx.__dict__.update(objects=objects, attributes=attributes, _digits=digits)
+        return ctx
 
     @classmethod
     def from_bit_rows(
@@ -374,22 +393,78 @@ def _closed_sets(ctx: FormalContext) -> tuple[set[int], bool]:
     return closed, transposed
 
 
-def _by_last_zero(words: Sequence[int], others: Sequence[int]) -> list[int]:
-    """The words in the order their zeros are all covered, as the bit
-    positions are taken most zeros first.
+def _by_last_zero(words: Sequence[int], others: Sequence[int], among: int = -1) -> list[int]:
+    """The words at the set bits of `among` (all by default) in the order
+    their zeros are all covered, as the bit positions are taken most zeros
+    first.
 
     The zeros of an intersection are the union of its words' zeros, so the
     sets closed from words whose zeros lie within r positions number at
     most 2**r. Taking the positions with the most zeros first, and each
     word as soon as its last zero's position is taken, keeps r small for as
-    long as it can. `others` is the transpose of `words`: bit i of
-    others[j] is bit j of words[i].
+    long as it can. `others` is the transpose of `words`, or some of its
+    words: bit i of others[j] is bit j of words[i].
     """
     every, last = (1 << len(words)) - 1, [0] * len(words)
     for rank, other in enumerate(sorted(others, key=int.bit_count)):
         for i in _members(range(len(words)), every ^ other):
             last[i] = rank
-    return [words[i] for i in sorted(range(len(words)), key=last.__getitem__)]
+    return [words[i] for i in sorted(_members(range(len(words)), every & among), key=last.__getitem__)]
+
+
+def _product_count(ctx: FormalContext) -> int | None:
+    """The concept count as the product of the counts of the components of
+    the non-incidence graph, or None when it has fewer than two or the
+    product passes MAX_CONCEPTS.
+
+    The graph's vertices are the objects and attributes, and each missing
+    cross is an edge. A context is the direct sum of the subcontexts on its
+    components, every cross between two of them present, and the concept
+    lattice of a direct sum is the direct product of theirs (Ganter & Wille
+    1999), so the counts multiply. An object or attribute with no zero has
+    1 concept, and a component with one object or one attribute 2. Any
+    other is closed as _closed_sets closes a context, on its own words in
+    their own bit positions: a word's bits past the component are all
+    ones, so the sets stay within it.
+    """
+    rows, cols = ctx._rows, ctx._cols
+    everyone, every = (1 << len(rows)) - 1, (1 << len(cols)) - 1
+    pending, components = everyone, []
+    while pending:
+        extent, intent, new = 0, 0, pending & -pending
+        while new:
+            # The zeros of the new objects' rows, then of the new attributes' columns.
+            extent |= new
+            new = every & ~(_meet(rows, new, every) | intent)
+            intent |= new
+            new = everyone & ~(_meet(cols, new, everyone) | extent)
+        pending ^= extent
+        if intent:  # else a lone object with no zero
+            components.append((extent, intent))
+    if len(components) < 2:
+        return None
+    product = 1
+    for extent, intent in components:
+        if extent & (extent - 1) and intent & (intent - 1):  # two or more of each
+            # The smaller side's words are closed, from the other side's full set.
+            words, others, side, full = rows, cols, extent, intent
+            if intent.bit_count() < extent.bit_count():
+                words, others, side, full = cols, rows, intent, extent
+            if extent.bit_count() * intent.bit_count() > _ORDERED_MIN_CELLS:
+                words = _by_last_zero(words, list(_members(others, full)), side)
+            else:
+                words = _members(words, side)
+            closed = {full}
+            for word in words:
+                closed.update([c & word for c in closed])
+                if len(closed) * product > MAX_CONCEPTS:
+                    return None
+            product *= len(closed)
+        else:
+            product *= 2
+        if product > MAX_CONCEPTS:
+            return None
+    return product
 
 
 def _refuse_past_cap(found: int) -> None:
@@ -514,10 +589,22 @@ def enumerate_concepts(
 def count_concepts(ctx: FormalContext, algorithm: str = "intersection") -> int:
     """Number of concepts, by the same traversal; builds and sorts nothing.
 
-    ``intersection`` counts its closed sets and derives no extents.
+    ``intersection`` counts its closed sets and derives no extents. On a
+    table of more than _ORDERED_MIN_CELLS cells and density above
+    _DENSE_DENSITY, where _closed_sets builds both sides anyway, it first
+    splits the non-incidence graph into its connected components: with two
+    or more, the count is the product of theirs, as the concept lattice of
+    a direct sum is the product of its summands' (Ganter & Wille 1999). With
+    one, or once the running product passes MAX_CONCEPTS, it closes the
+    whole side as before, so a refusal quotes the same number.
     """
     traversal = _traversal(algorithm)
     if traversal is _intersection:
+        cells = len(ctx.objects) * len(ctx.attributes)
+        if cells > _ORDERED_MIN_CELLS and ctx.incidence_count / cells > _DENSE_DENSITY:
+            product = _product_count(ctx)
+            if product is not None:
+                return product
         return len(_closed_sets(ctx)[0])
     return sum(1 for _ in traversal(ctx))
 

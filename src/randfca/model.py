@@ -93,8 +93,13 @@ def mix64(x: int) -> int:
 def derive_seed(master: int, index: int) -> int:
     """Seed for batch sample `index` (the SplitMix64 output at that offset)."""
     index = integer(index, "sample index", low=0)
-    m = _master_of(master)
-    return mix64((m + GOLDEN_GAMMA * (index + 1)) & MASK64)
+    return _derived_seed(_master_of(master), index)
+
+
+def _derived_seed(master: int, index: int) -> int:
+    """derive_seed without its checks, for a master already taken modulo
+    2**64 and an int index >= 0, as Monte Carlo's per-sample path has them."""
+    return mix64((master + GOLDEN_GAMMA * (index + 1)) & MASK64)
 
 
 @functools.lru_cache(maxsize=64)
@@ -212,7 +217,7 @@ def sample_context(params: ModelParams, seed: int) -> FormalContext:
     appear in ascending universe order.
     """
     sides, digits = _draw(params, seed)
-    return FormalContext(*_universe_labels(sides), digits)
+    return FormalContext._from_fields(*_universe_labels(sides), digits)
 
 
 @functools.lru_cache(maxsize=1)

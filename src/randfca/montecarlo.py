@@ -19,7 +19,7 @@ from typing import Callable, NoReturn
 from .context import count_concepts
 from .errors import InternalError, integer
 from .expectation import expected_concepts
-from .model import ModelParams, _master_of, derive_seed, sample_context
+from .model import ModelParams, _derived_seed, _master_of, sample_context
 from .record import Record
 
 # Past this n, the concept count of one sample may explode.
@@ -59,7 +59,7 @@ class ExactComparison(Record):
 def _count_sample(params: ModelParams, master: int, k: int) -> int:
     # Both names are looked up here at call time, so a wrapper installed on
     # this module sees every sample drawn in this process.
-    return count_concepts(sample_context(params, derive_seed(master, k)))
+    return count_concepts(sample_context(params, _derived_seed(master, k)))
 
 
 def estimate(

@@ -534,7 +534,8 @@ def test_a_dense_side_is_ordered_against_its_transpose(monkeypatch, tall):
     ctx = _closed_side_context(0.95, 17, 21, tall, 0)
     calls, by_last_zero = [], context._by_last_zero
     monkeypatch.setattr(context, "_by_last_zero", lambda *sides: calls.append(sides) or by_last_zero(*sides))
-    count_concepts(ctx)
+    # _closed_sets, which the listing runs: a count may multiply components instead.
+    context._closed_sets(ctx)
     assert calls == [(ctx._cols, ctx._rows) if tall else (ctx._rows, ctx._cols)]
 
 
@@ -544,7 +545,7 @@ def test_only_a_table_of_more_than_200_cells_is_reordered(monkeypatch, k, reorde
     ctx = _closed_side_context(0.95, k, k, False, 0)
     calls, by_last_zero = [], context._by_last_zero
     monkeypatch.setattr(context, "_by_last_zero", lambda *sides: calls.append(sides) or by_last_zero(*sides))
-    assert count_concepts(ctx) == len(enumerate_concepts(ctx, "close-by-one"))
+    assert len(context._closed_sets(ctx)[0]) == len(enumerate_concepts(ctx, "close-by-one"))
     assert bool(calls) is reordered
 
 
@@ -662,3 +663,156 @@ def test_a_built_side_changes_no_equality_hash_repr_or_pickle(ctx, side):
     assert repr(ctx) == (
         f"FormalContext(objects={ctx.objects!r}, attributes={ctx.attributes!r}, _rows={ctx._rows!r})"
     )
+
+
+# The product rule: a count on a table of more than 200 cells and density
+# above 3/4 multiplies the counts of the components of its missing crosses.
+
+
+def _direct_sum(blocks: list[FormalContext]) -> FormalContext:
+    """The blocks along the diagonal, in order, every other cross present."""
+    m = sum(b.attribute_count for b in blocks)
+    rows, j0 = [], 0
+    for b in blocks:
+        outside = ((1 << m) - 1) ^ ((1 << b.attribute_count) - 1) << j0
+        rows += [row << j0 | outside for row in b._rows]
+        j0 += b.attribute_count
+    return build_context(len(rows), m, rows)
+
+
+@st.composite
+def _direct_sums(draw) -> tuple[FormalContext, list[FormalContext]]:
+    """(a direct sum of small random blocks, the blocks): every cross
+    between two blocks present, some full rows and columns (blocks of one
+    object and no attribute, or the reverse), padded with more of them to
+    more than 200 cells and density above 3/4, its objects and attributes
+    then shuffled."""
+    block = contexts(max_objects=3, max_attributes=3, min_objects=1, min_attributes=1)
+    blocks = draw(st.lists(block, min_size=1, max_size=5))
+    blocks += [build_context(1, 0, [0])] * draw(st.integers(0, 4))
+    blocks += [build_context(0, 1, [])] * draw(st.integers(0, 4))
+    zeros = sum(b.object_count * b.attribute_count - b.incidence_count for b in blocks)
+    g, m = sum(b.object_count for b in blocks), sum(b.attribute_count for b in blocks)
+    while g * m <= 200 or 4 * zeros >= g * m:
+        if g <= m:
+            blocks.append(build_context(1, 0, [0]))
+            g += 1
+        else:
+            blocks.append(build_context(0, 1, []))
+            m += 1
+    rows = _direct_sum(blocks)._rows
+    objects, attributes = draw(st.permutations(range(g))), draw(st.permutations(range(m)))
+    shuffled = [0] * g
+    for i, row in enumerate(rows):
+        shuffled[objects[i]] = sum(1 << attributes[j] for j in range(m) if row >> j & 1)
+    return build_context(g, m, shuffled), blocks
+
+
+@given(_direct_sums())
+@example((contranomial(15), [contranomial(1)] * 15))
+def test_a_direct_sum_counts_the_product_of_its_blocks(sum_and_blocks):
+    ctx, blocks = sum_and_blocks
+    cells = ctx.object_count * ctx.attribute_count
+    assert cells > context._ORDERED_MIN_CELLS and ctx.incidence_count / cells > context._DENSE_DENSITY
+    want = 1
+    for block in blocks:
+        want *= count_concepts(block, "close-by-one")
+    if sum(block.incidence_count < block.object_count * block.attribute_count for block in blocks) > 1:
+        # Two blocks with a zero: two components at least, so the product decides.
+        assert context._product_count(_copy(ctx)) == want
+    assert count_concepts(_copy(ctx)) == want == count_concepts(ctx, "close-by-one")
+    assert len(enumerate_concepts(ctx)) == want
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["fewer-objects", "more-objects"])
+def test_a_component_of_more_than_200_cells_is_ordered_by_its_last_zeros(monkeypatch, tall):
+    # A 15 x 16 block whose missing crosses connect all its rows and
+    # columns (one component of 240 cells), beside a 2 x 3 block.
+    rng = random.Random(tall)
+    full_row, full_col = (1 << 16) - 1, (1 << 15) - 1
+    while True:
+        big = build_context(15, 16, [sum((rng.random() < 0.8) << j for j in range(16)) for _ in range(15)])
+        if full_row not in big._rows and full_col not in big._cols and context._product_count(big) is None:
+            break
+    blocks = [big, build_context(2, 3, [0b110, 0b011])]
+    if tall:
+        blocks = [build_context(b.attribute_count, b.object_count, list(b._cols)) for b in blocks]
+    ctx = _direct_sum(blocks)
+    calls, by_last_zero = [], context._by_last_zero
+    monkeypatch.setattr(context, "_by_last_zero", lambda *args: calls.append(args) or by_last_zero(*args))
+    want = count_concepts(blocks[0], "close-by-one") * count_concepts(blocks[1], "close-by-one")
+    assert count_concepts(ctx) == want == count_concepts(ctx, "close-by-one")
+    # Only the big block's component is ordered: its 15 rows, or its 15
+    # columns when it has fewer columns, against the other side's 16 words.
+    ((words, others, among),) = calls
+    assert words == (ctx._cols if tall else ctx._rows) and among == (1 << 15) - 1
+    assert others == list((ctx._rows if tall else ctx._cols)[:16])
+
+
+def _fail(*args):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("k", [15, 16, 17, 18])
+def test_a_contranomial_counts_2_to_the_k_without_closing_a_side(monkeypatch, k):
+    monkeypatch.setattr(context, "_closed_sets", _fail)
+    assert count_concepts(contranomial(k)) == 2**k
+
+
+@pytest.mark.parametrize(
+    "ctx, got",
+    [
+        (contranomial(19), 524288),
+        # 16 single cells (2**16), then a connected 4 x 4 block of 9
+        # concepts: the product passes the cap while that block is closed.
+        (_direct_sum([contranomial(1)] * 16 + [build_context(4, 4, [0b1100, 0b1001, 0b0011, 0b0111])]), 327680),
+    ],
+    ids=["contranomial19", "past-the-cap-in-a-component"],
+)
+def test_past_the_cap_a_count_refuses_as_the_closure_does(ctx, got):
+    message = rf"^enumeration supports concepts <= 262144, got {got}$"
+    with pytest.raises(SizeError, match=message):
+        context._closed_sets(_copy(ctx))
+    with pytest.raises(SizeError, match=message):
+        count_concepts(_copy(ctx))
+
+
+@given(_direct_sums(), st.data())
+def test_past_a_lower_cap_a_direct_sum_refuses_as_the_closure_does(sum_and_blocks, data):
+    ctx, _ = sum_and_blocks
+    found = count_concepts(ctx, "close-by-one")
+    cap = data.draw(st.integers(1, max(1, found - 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(context, "MAX_CONCEPTS", cap)
+        if found <= cap:
+            assert count_concepts(_copy(ctx)) == found
+            return
+        with pytest.raises(SizeError) as closure:
+            context._closed_sets(_copy(ctx))
+        with pytest.raises(SizeError, match=f"^{re.escape(str(closure.value))}$"):
+            count_concepts(_copy(ctx))
+
+
+def _cyclic(k: int, zeros: int) -> FormalContext:
+    """The k x k context whose row i misses attributes i .. i + zeros - 1, mod k."""
+    return build_context(k, k, [((1 << k) - 1) ^ sum(1 << (i + d) % k for d in range(zeros)) for i in range(k)])
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        contranomial(14),
+        _closed_side_context(0.95, 14, 14, False, 0),
+        _cyclic(16, 4),
+        _closed_side_context(0.74, 17, 21, False, 0),
+        _closed_side_context(0.74, 17, 21, True, 0),
+        _closed_side_context(0.5, 17, 21, True, 0),
+    ],
+    ids=["196-cells", "196-cells-random", "256-cells-density-3/4", "density-.74", "density-.74-tall", "density-.5"],
+)
+def test_a_small_or_sparse_table_is_counted_without_a_component_search(monkeypatch, ctx):
+    monkeypatch.setattr(context, "_product_count", _fail)
+    ctx = _copy(ctx)
+    assert count_concepts(ctx) == len(enumerate_concepts(_copy(ctx), "close-by-one"))
+    built = {"_rows", "_cols"} & vars(ctx).keys()
+    assert built == ({"_cols"} if ctx.attribute_count < ctx.object_count else {"_rows"})

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -483,3 +484,27 @@ def test_a_word_draws_at_the_probability_its_place_gives(lanes, where, data, n, 
         mp.setattr(model, "_LANES", lanes)
         digits = model._bernoulli_digits(params, seed, start, count)
     assert digits == _per_word_digits(params, seed, start, count)
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(0, 2**40))
+def test_the_unchecked_seed_formula_is_derive_seeds(master, index):
+    assert model._derived_seed(master & model.MASK64, index) == derive_seed(master, index)
+
+
+@given(
+    n=st.integers(1, 40),
+    p=_PROBABILITIES,
+    q=_PROBABILITIES,
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_sampled_context_equals_the_checked_construction(n, p, q, seed):
+    params = ModelParams(n, p, q)
+    ctx = sample_context(params, seed)
+    assert list(vars(ctx)) == ["objects", "attributes", "_digits"]
+    assert (type(ctx.objects), type(ctx.attributes), type(ctx._digits)) == (tuple, tuple, bytes)
+    sides, digits = model._draw(params, seed)
+    checked = FormalContext(*model._universe_labels(sides), digits)
+    assert ctx == checked and hash(ctx) == hash(checked)
+    assert pickle.dumps(ctx) == pickle.dumps(checked)
+    assert pickle.loads(pickle.dumps(ctx)) == checked
+    assert repr(ctx) == repr(checked)
